@@ -9,6 +9,7 @@ game, and two-layer quasi-ideal models.
 """
 
 from .errors import (
+    BadInput,
     IllegalMove,
     IndeterminateForm,
     InvalidSup,

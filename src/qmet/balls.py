@@ -3,9 +3,17 @@
 A formal ball pairs a carrier point with a finite non-negative rational
 radius.  Balls are ordered by (x, r) <= (y, s) iff d(x, y) <= r - s; the
 strict variant requires d(x, y) < r - s.  Way-below on the ball poset is only
-semi-decidable in general, so the checker is three-valued: closed-form
-oracles per space kind answer positively, a bounded refuter produces
-replayable counterexample families, and everything else is reported unknown.
+semi-decidable in general, so the checker is three-valued: a bounded refuter
+produces replayable counterexample families, one closed-form rule answers
+positively where the refuter finds none, and everything else is reported
+unknown.
+
+The rule: (x, r) is way below (y, s) iff (x, r) strictly approximates (y, s),
+except when x = y is a non-center point.  Hence v(x, y) = d(x, y), except
+v(x, x) = inf at a non-center point.  This module tests no space kind for
+these facts; each ``Space`` subclass states them once: ``way_below_rule``
+(the rule's name, None where its kind has no closed form),
+``non_center_points`` and ``witness_families``.
 
 The refuter's witness families come in three shapes, each with an exactly
 computable supremum:
@@ -27,16 +35,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import InvalidSup, NoOracle, QmetError
+from .errors import InvalidSup, NoOracle, QmetError, expect_object
 from .extreal import INF, ExtReal, as_fraction, monus
 from .spaces import (
     INF_POINT,
-    FiniteTableSpace,
-    PosetSpace,
-    RealGridSpace,
     SkewedIntervalSpace,
     Space,
-    SorgenfreyGridSpace,
     TailedSorgenfreySpace,
     point_label,
 )
@@ -175,15 +179,15 @@ class WayBelowWitness:
 
     @classmethod
     def from_json(cls, obj: dict) -> "WayBelowWitness":
-        fam = obj["family"]
+        fam = expect_object(expect_object(obj, "a witness")["family"], "a family")
         lower = parse_ball(obj["claim"][0])
         upper = parse_ball(obj["claim"][1])
         return cls(
             fam["kind"],
             fam["limit_center"],
-            Fraction(fam["t"]),
+            as_fraction(fam["t"]),
             fam["n0"],
-            [(c, Fraction(r)) for c, r in fam["members"]],
+            [(c, as_fraction(r)) for c, r in fam["members"]],
             lower,
             upper,
         )
@@ -234,7 +238,7 @@ def _members_follow_schema(space: Space, w: WayBelowWitness) -> bool:
 def _witness_valid(space: Space, w: WayBelowWitness) -> bool:
     b1, b2 = w.lower, w.upper
     t = w.t
-    if t < 0:
+    if t < 0 or w.kind not in space.witness_families:
         return False
     if w.kind == "radius_shrink":
         d2 = space.dist(b2.center, w.limit_center)
@@ -244,8 +248,6 @@ def _witness_valid(space: Space, w: WayBelowWitness) -> bool:
         no_member = d1.is_infinite or d1.as_fraction() >= b1.radius - t
         return no_member and _members_follow_schema(space, w)
     if w.kind == "left_approach":
-        if not isinstance(space, (SorgenfreyGridSpace, TailedSorgenfreySpace)):
-            return False
         star = space.value(w.limit_center)
         d2 = space.dist(b2.center, w.limit_center)
         if d2.is_infinite or d2.as_fraction() > b2.radius - t:
@@ -255,54 +257,32 @@ def _witness_valid(space: Space, w: WayBelowWitness) -> bool:
             return _members_follow_schema(space, w)
         no_tail_member = not (x1 < star and star - x1 <= b1.radius - t)
         return no_tail_member and _members_follow_schema(space, w)
-    if w.kind == "divergent":
-        if not (isinstance(space, RealGridSpace) and space.contains_infinity()):
-            return False
-        d2 = space.dist(b2.center, "inf")
-        if d2.is_infinite or d2.as_fraction() > b2.radius - t:
-            return False
-        x1 = space.value(b1.center)
-        no_tail_member = x1 is INF_POINT or b1.radius <= t
-        return no_tail_member and _members_follow_schema(space, w)
-    return False
+    # divergent
+    d2 = space.dist(b2.center, "inf")
+    if d2.is_infinite or d2.as_fraction() > b2.radius - t:
+        return False
+    x1 = space.value(b1.center)
+    no_tail_member = x1 is INF_POINT or b1.radius <= t
+    return no_tail_member and _members_follow_schema(space, w)
 
 
 # ---------------------------------------------------------------------------
-# Closed-form way-below oracles
+# The closed-form way-below rule
 
 
-def _oracle_real_grid(space: RealGridSpace, b1, b2) -> bool:
-    if space.value(b1.center) is INF_POINT:
+def _way_below_rule(space: Space, b1: FormalBall, b2: FormalBall) -> bool:
+    """Strict approximation, except that a ball at a non-center point is
+    way below no ball at the same point."""
+    if b1.center == b2.center and b1.center in space.non_center_points:
         return False
     return prec(space, b1, b2)
 
 
-def _oracle_sorgenfrey(space: SorgenfreyGridSpace, b1, b2) -> bool:
-    x, y = space.value(b1.center), space.value(b2.center)
-    return x < y and x + b1.radius > y + b2.radius
-
-
-def _oracle_poset(space: PosetSpace, b1, b2) -> bool:
-    # way-below inside a finite poset coincides with its order
-    return space.poset.leq(b1.center, b2.center) and b1.radius > b2.radius
-
-
-def _oracle_metric_table(space: FiniteTableSpace, b1, b2) -> bool:
-    return prec(space, b1, b2)
-
-
 def way_below_oracle(space: Space):
-    """(name, function) for the space kind, or None when no closed form is
-    registered."""
-    if isinstance(space, RealGridSpace):
-        return ("one_way_real_line", _oracle_real_grid)
-    if isinstance(space, SorgenfreyGridSpace):
-        return ("sorgenfrey_line", _oracle_sorgenfrey)
-    if isinstance(space, PosetSpace):
-        return ("finite_poset", _oracle_poset)
-    if isinstance(space, FiniteTableSpace) and space.is_symmetric():
-        return ("metric_strict_approximation", _oracle_metric_table)
-    return None
+    """(name, function) for the space's closed-form rule, or None when its
+    kind has none."""
+    name = space.way_below_rule
+    return None if name is None else (name, _way_below_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +329,8 @@ def _approach_witness(space, b1, b2, star_name: str, depth: int) -> Optional[Way
     return WayBelowWitness("left_approach", star_name, t, n0, members, b1, b2)
 
 
-def _divergent_witness(space, b1, b2, depth: int) -> Optional[WayBelowWitness]:
-    if not space.contains_infinity():
+def _divergent_witness(space, b1, b2, z: str, depth: int) -> Optional[WayBelowWitness]:
+    if z != "inf":
         return None
     t = b2.radius  # d(y, inf) = 0, so this is the largest admissible limit radius
     x1 = space.value(b1.center)
@@ -360,39 +340,41 @@ def _divergent_witness(space, b1, b2, depth: int) -> Optional[WayBelowWitness]:
     return WayBelowWitness("divergent", "inf", t, 0, members, b1, b2)
 
 
+_WITNESS_BUILDERS = {
+    "radius_shrink": _shrink_witness,
+    "left_approach": _approach_witness,
+    "divergent": _divergent_witness,
+}
+
+
 def _refute_way_below(space, b1, b2, depth: int) -> Optional[WayBelowWitness]:
-    for z in space.points:
-        w = _shrink_witness(space, b1, b2, z, depth)
-        if w:
-            return w
-    if isinstance(space, (SorgenfreyGridSpace, TailedSorgenfreySpace)):
-        for star in space.points:
-            w = _approach_witness(space, b1, b2, star, depth)
+    """The first witness over the space's families, in order, and over the
+    carrier points as the supremum's center."""
+    for family in space.witness_families:
+        build = _WITNESS_BUILDERS[family]
+        for z in space.points:
+            w = build(space, b1, b2, z, depth)
             if w:
                 return w
-    if isinstance(space, RealGridSpace):
-        w = _divergent_witness(space, b1, b2, depth)
-        if w:
-            return w
     return None
 
 
 def way_below(space: Space, b1: FormalBall, b2: FormalBall, depth: int = 8) -> Verdict:
     """Three-valued way-below on formal balls.
 
-    Positive answers come only from a registered closed-form oracle;
-    refutations carry a replayable directed family; otherwise unknown.
+    Refutations carry a replayable directed family.  Positive answers come
+    only from the space's closed-form rule, and only once the refuter has
+    found no witness: on a table that breaks the triangle inequality the
+    rule can be wrong, and the witness wins.  Everything else is unknown.
     """
     space.index(b1.center)
     space.index(b2.center)
-    orc = way_below_oracle(space)
-    if orc is not None:
-        name, fn = orc
-        if fn(space, b1, b2):
-            return Verdict(HOLDS, justification=name)
     witness = _refute_way_below(space, b1, b2, depth)
     if witness is not None:
         return Verdict(REFUTED, justification=witness.kind, witness=witness, depth=depth)
+    rule = space.way_below_rule
+    if rule is not None and _way_below_rule(space, b1, b2):
+        return Verdict(HOLDS, justification=rule)
     return Verdict(UNKNOWN, justification="bounded search exhausted", depth=depth)
 
 
@@ -401,23 +383,18 @@ def way_below(space: Space, b1: FormalBall, b2: FormalBall, depth: int = 8) -> V
 
 
 def v_relation(space: Space, x: str, y: str) -> ExtReal:
-    """Infimum of r - s over strict ball approximations from x to y.
+    """Infimum of r - s over (x, r) way below (y, s).
 
-    Computed in closed form from the registered way-below rule; the infimum
-    over an empty set is infinite.
+    Under the space's closed-form rule this is d(x, y), except that v(x, x)
+    is infinite at a non-center point, where the set is empty.
     """
     space.index(x)
     space.index(y)
-    if isinstance(space, RealGridSpace):
-        return INF if space.value(x) is INF_POINT else space.dist(x, y)
-    if isinstance(space, SorgenfreyGridSpace):
-        vx, vy = space.value(x), space.value(y)
-        return ExtReal(vy - vx) if vx < vy else INF
-    if isinstance(space, PosetSpace):
-        return space.dist(x, y)
-    if isinstance(space, FiniteTableSpace) and space.is_symmetric():
-        return space.dist(x, y)
-    raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
+    if space.way_below_rule is None:
+        raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
+    if x == y and x in space.non_center_points:
+        return INF
+    return space.dist(x, y)
 
 
 def center_point_check(space: Space, x: str) -> bool:
@@ -553,16 +530,16 @@ class StandardnessWitness:
     @classmethod
     def from_json(cls, obj: dict) -> "StandardnessWitness":
         return cls(
-            obj["family"],
-            Fraction(obj["shift"]),
+            expect_object(expect_object(obj, "a witness")["family"], "a family"),
+            as_fraction(obj["shift"]),
             parse_ball(obj["candidate"]),
             parse_ball(obj["target"]),
-            [(c, Fraction(r)) for c, r in obj["members"]],
+            [(c, as_fraction(r)) for c, r in obj["members"]],
         )
 
     def replay(self, space: Space) -> bool:
         if self.family.get("kind") == "geometric":
-            fam = GeometricBallFamily(space, Fraction(self.family["s"]))
+            fam = GeometricBallFamily(space, self.family["s"])
             shifted = fam.shifted(self.shift)
             return shifted.is_upper_bound(self.candidate) and not leq_dplus(
                 space, self.target, self.candidate
@@ -684,18 +661,27 @@ class OrderLawsReport:
         )
 
 
+def _ball_grid(space: Space, radii: Sequence[Fraction]) -> tuple[list, list]:
+    """The balls over the carrier and radius grid, and their <=+ rows: bit j
+    of rows[i] is set iff balls[i] <=+ balls[j]."""
+    balls = [FormalBall(p, as_fraction(r)) for p in space.points for r in radii]
+    rows = []
+    for a in balls:
+        row = 0
+        for j, b in enumerate(balls):
+            if leq_dplus(space, a, b):
+                row |= 1 << j
+        rows.append(row)
+    return balls, rows
+
+
 def order_laws_report(
     space: Space, radii: Sequence[Fraction], shifts: Sequence[Fraction] = ()
 ) -> OrderLawsReport:
     """Exhaustively verify that the ball order is a partial order on the
     given radius grid and that it is invariant under uniform radius shifts."""
-    balls = [FormalBall(p, as_fraction(r)) for p in space.points for r in radii]
+    balls, rows = _ball_grid(space, radii)
     n = len(balls)
-    rows = [0] * n
-    for i, a in enumerate(balls):
-        for j, b in enumerate(balls):
-            if leq_dplus(space, a, b):
-                rows[i] |= 1 << j
     failures = []
     reflexive_ok = all(rows[i] & (1 << i) for i in range(n))
     if not reflexive_ok:
@@ -758,13 +744,8 @@ def radius_law_report(
     Families are tents {a, b, c} with a and b below c, which are directed
     because c bounds every subset from inside.
     """
-    balls = [FormalBall(p, as_fraction(r)) for p in space.points for r in radii]
+    balls, above = _ball_grid(space, radii)  # above[i]: the balls dominating ball i
     n = len(balls)
-    above = [0] * n  # above[i] = bitmask of balls dominating ball i
-    for i in range(n):
-        for j in range(n):
-            if leq_dplus(space, balls[i], balls[j]):
-                above[i] |= 1 << j
     rng = random.Random(seed)
     families = []
     for k in range(n):

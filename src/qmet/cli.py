@@ -15,7 +15,8 @@ import sys
 from fractions import Fraction
 
 from . import balls, lipschitz, posets, qideal, spaces
-from .errors import QmetError
+from .errors import QmetError, expect_object
+from .extreal import as_fraction
 
 
 class Emitter:
@@ -34,7 +35,7 @@ class Emitter:
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return expect_object(json.load(fh), path)
 
 
 def _load_space(path: str) -> spaces.Space:
@@ -134,13 +135,13 @@ def cmd_wb(args, out: Emitter) -> int:
 def cmd_standard(args, out: Emitter) -> int:
     space = _load_space(args.space)
     probe = _load_json(args.probe)
-    fam = probe["family"]
+    fam = expect_object(probe["family"], "a probe family")
     if fam.get("kind") == "geometric":
-        family = balls.GeometricBallFamily(space, Fraction(fam.get("s", "0")))
+        family = balls.GeometricBallFamily(space, fam.get("s", "0"))
     else:
         family = [balls.parse_ball(b) for b in fam["members"]]
     sup = balls.parse_ball(probe["sup"])
-    shift = Fraction(probe["shift"])
+    shift = as_fraction(probe["shift"])
     verdict = balls.standardness_probe(space, family, sup, shift)
     if verdict.is_refuted:
         rec = {"record": "witness", "space": space.to_json()}
@@ -351,6 +352,21 @@ def cmd_replay(args, out: Emitter) -> int:
 # Parser
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than least."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qm", description="exact checks on quasi-metric spaces and formal balls"
@@ -362,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         if budget:
-            p.add_argument("--budget", type=int, default=200_000)
+            p.add_argument("--budget", type=_int_at_least(1), default=200_000)
         if depth is not None:
-            p.add_argument("--depth", type=int, default=depth)
+            p.add_argument("--depth", type=_int_at_least(0), default=depth)
 
     p = sub.add_parser("axioms", help="check the quasi-metric axioms")
     p.add_argument("space")

@@ -5,6 +5,18 @@ class QmetError(Exception):
     """Base class for all library errors."""
 
 
+class BadInput(QmetError, TypeError):
+    """A value of the wrong type: a float or other non-rational where an
+    exact rational belongs, or a JSON document that is not an object."""
+
+
+def expect_object(obj, what: str) -> dict:
+    """The decoded JSON document, once it is known to be an object."""
+    if not isinstance(obj, dict):
+        raise BadInput(f"{what} must be a JSON object, got {type(obj).__name__}")
+    return obj
+
+
 class IndeterminateForm(QmetError):
     """Raised for arithmetic with no defined value, e.g. infinity monus infinity."""
 

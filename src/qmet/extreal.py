@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Union
 
-from .errors import IndeterminateForm
+from .errors import BadInput, IndeterminateForm
 
 RationalLike = Union[int, Fraction, str]
 
@@ -25,14 +25,14 @@ GREATER = 1
 def as_fraction(value: RationalLike) -> Fraction:
     """Coerce to an exact Fraction, rejecting floats outright."""
     if isinstance(value, bool) or isinstance(value, float):
-        raise TypeError(f"exact rational required, got {type(value).__name__}")
+        raise BadInput(f"exact rational required, got {type(value).__name__}")
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+    raise BadInput(f"cannot interpret {value!r} as a rational")
 
 
 class ExtReal:

@@ -16,7 +16,7 @@ from itertools import product
 from typing import Iterable, Optional, Union
 
 from .balls import FormalBall
-from .errors import QmetError, UnknownPoint
+from .errors import QmetError, UnknownPoint, expect_object
 from .extreal import INF, ZERO, ExtReal, as_fraction, ext
 from .spaces import Space
 
@@ -158,7 +158,8 @@ class LscFunction:
 
     @classmethod
     def from_json(cls, space: Space, obj: dict) -> "LscFunction":
-        return cls(space, obj["values"])
+        values = expect_object(obj, "a function")["values"]
+        return cls(space, expect_object(values, "function values"))
 
     def __repr__(self):
         inner = ", ".join(f"{p}: {self.values[p]}" for p in self.space.points)
@@ -185,6 +186,12 @@ class LipschitzReport:
 
     @property
     def verdicts_agree(self) -> bool:
+        """The slope verdict and the lift verdict are the same.
+
+        A slope pass implies a lift pass, but not conversely: the lift is
+        tested only at the radius differences r - s of its grid, so it can
+        miss a slope violation at a distance that is not such a difference.
+        """
         return self.passed == self.lift_monotone
 
 
@@ -196,7 +203,15 @@ def lipschitz_check(
     lift_radii: Iterable = (0, Fraction(1, 2), 1, 2),
 ) -> LipschitzReport:
     """Check the slope bound pairwise and, independently, monotonicity of
-    the ball lift (x, r) -> (f(x), alpha * r); the two verdicts coincide."""
+    the ball lift (x, r) -> (f(x), alpha * r) on the radii ``lift_radii``.
+
+    The slope verdict is exact.  The lift verdict only tests each pair (x, y)
+    at the grid differences r - s >= d(x, y), so it is implied by the slope
+    verdict but weaker where d(x, y) is not itself a difference.  On the
+    default radii (0, 1/2, 1, 2) the differences are 0, 1/2, 1, 3/2 and 2:
+    a slope violation at distance 1/4 can pass the lift, and pairs more than
+    2 apart are never tested.
+    """
     alpha = as_fraction(alpha)
     if alpha < 0:
         raise QmetError("alpha must be non-negative")

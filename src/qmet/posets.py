@@ -21,6 +21,7 @@ from .errors import (
     NotAnAbstractBasis,
     TooLarge,
     UnknownElement,
+    expect_object,
 )
 
 
@@ -192,7 +193,7 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FinitePoset":
-        if obj.get("kind") != "poset":
+        if expect_object(obj, "a poset").get("kind") != "poset":
             raise NotAPartialOrder(f"unexpected kind {obj.get('kind')!r}")
         return cls(obj["elements"], obj["leq"])
 
@@ -379,7 +380,7 @@ class AbstractBasis:
 
     @classmethod
     def from_json(cls, obj: dict) -> "AbstractBasis":
-        if obj.get("kind") != "basis":
+        if expect_object(obj, "a basis").get("kind") != "basis":
             raise NotAnAbstractBasis(f"unexpected kind {obj.get('kind')!r}", None)
         return cls(obj["elements"], obj["prec"])
 

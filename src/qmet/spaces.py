@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import QmetError, UnknownPoint
+from .errors import QmetError, UnknownPoint, expect_object
 from .extreal import INF, ZERO, ExtReal, as_fraction, ext
 from .posets import FinitePoset
 
@@ -41,9 +41,9 @@ INF_POINT = _InfinitePoint()
 
 def parse_point_value(text: str):
     """A signed rational, or the infinite point for the literal "inf"."""
-    if text.strip() == "inf":
+    if isinstance(text, str) and text.strip() == "inf":
         return INF_POINT
-    return Fraction(text.strip())
+    return as_fraction(text)
 
 
 def point_label(value) -> str:
@@ -72,6 +72,14 @@ class Space:
     """Finite carrier with an exact quasi-metric table."""
 
     kind = "abstract"
+    # Facts the formal-ball layer (qmet.balls) reads about the kind:
+    # way_below_rule names its closed-form way-below rule (None: no closed
+    # form); non_center_points are the x with v(x, x) infinite, read only
+    # where a rule is named; witness_families are the families the refuter
+    # builds and replay accepts, in search order.
+    way_below_rule: Optional[str] = None
+    non_center_points: frozenset = frozenset()
+    witness_families: tuple = ("radius_shrink",)
 
     def __init__(self, points: Sequence[str]):
         self._points = tuple(points)
@@ -130,6 +138,10 @@ class FiniteTableSpace(Space):
         self._table = [[ext(v) for v in row] for row in table]
         self._symmetric: Optional[bool] = None
 
+    @property
+    def way_below_rule(self) -> Optional[str]:
+        return "metric_strict_approximation" if self.is_symmetric() else None
+
     def is_symmetric(self) -> bool:
         if self._symmetric is None:
             n = len(self._points)
@@ -164,6 +176,7 @@ class RealGridSpace(Space):
     """
 
     kind = "real_grid"
+    way_below_rule = "one_way_real_line"
 
     def __init__(self, values: Sequence):
         self._values = [
@@ -171,6 +184,10 @@ class RealGridSpace(Space):
         ]
         super().__init__([point_label(v) for v in self._values])
         self._fill_table()
+        if self.contains_infinity():
+            # a divergent climb has its supremum at the top point
+            self.non_center_points = frozenset(["inf"])
+            self.witness_families = ("radius_shrink", "divergent")
 
     def _compute(self, i, j):
         return real_line_dist(self._values[i], self._values[j])
@@ -192,11 +209,15 @@ class SorgenfreyGridSpace(Space):
     """Finite window onto the Sorgenfrey line."""
 
     kind = "sorgenfrey_grid"
+    way_below_rule = "sorgenfrey_line"
+    witness_families = ("radius_shrink", "left_approach")
 
     def __init__(self, values: Sequence):
         self._values = [as_fraction(v) for v in values]
         super().__init__([str(v) for v in self._values])
         self._fill_table()
+        # every point is the supremum of a climb from its left
+        self.non_center_points = frozenset(self._points)
 
     def _compute(self, i, j):
         return sorgenfrey_dist(self._values[i], self._values[j])
@@ -215,6 +236,7 @@ class PosetSpace(Space):
     """A finite poset as a 0/inf quasi-metric space."""
 
     kind = "poset"
+    way_below_rule = "finite_poset"
 
     def __init__(self, poset: FinitePoset):
         self.poset = poset
@@ -293,6 +315,7 @@ class TailedSorgenfreySpace(Space):
     """
 
     kind = "tailed_sorgenfrey"
+    witness_families = ("radius_shrink", "left_approach")
 
     LOW2 = Fraction(-2)
     LOW1 = Fraction(-1)
@@ -452,23 +475,19 @@ def symmetrize(space: Space) -> FiniteTableSpace:
 
 
 def space_from_json(obj: dict) -> Space:
-    kind = obj.get("kind")
+    kind = expect_object(obj, "a space").get("kind")
     if kind == "finite_table":
-        return FiniteTableSpace(
-            obj["points"], [[ext(v) for v in row] for row in obj["dist"]]
-        )
+        return FiniteTableSpace(obj["points"], obj["dist"])
     if kind == "real_grid":
         return RealGridSpace([parse_point_value(v) for v in obj["values"]])
     if kind == "sorgenfrey_grid":
-        return SorgenfreyGridSpace([Fraction(v) for v in obj["values"]])
+        return SorgenfreyGridSpace(obj["values"])
     if kind in ("poset", "Poset"):
         return PosetSpace(FinitePoset(obj["elements"], obj["leq"]))
     if kind == "skewed_interval":
-        return SkewedIntervalSpace(obj["a"], [Fraction(v) for v in obj["values"]])
+        return SkewedIntervalSpace(obj["a"], obj["values"])
     if kind == "tailed_sorgenfrey":
-        return TailedSorgenfreySpace(
-            obj["a"], obj["b"], obj["c"], [Fraction(v) for v in obj["values"]]
-        )
+        return TailedSorgenfreySpace(obj["a"], obj["b"], obj["c"], obj["values"])
     raise QmetError(f"unknown space kind {kind!r}")
 
 

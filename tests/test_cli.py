@@ -264,3 +264,39 @@ def test_pretty_mode(capsys, real_grid_file):
     code, out = run(capsys, "--pretty", "centers", real_grid_file)
     assert code == 0
     assert out.startswith("[center]")
+
+
+def _rejected(capsys, *argv):
+    """Exit 2 with a one-line error on stderr, no traceback, nothing on stdout."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    return captured.err.strip().splitlines()[-1]
+
+
+def test_top_level_json_array_is_rejected(capsys, tmp_path):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    err = _rejected(capsys, "axioms", str(path))
+    assert err.startswith("error:") and "JSON object" in err
+
+
+def test_float_distance_is_rejected(capsys, tmp_path):
+    path = tmp_path / "float.json"
+    path.write_text(
+        json.dumps({"kind": "finite_table", "points": ["a", "b"], "dist": [[0, 1.5], [1.5, 0]]})
+    )
+    err = _rejected(capsys, "wb", str(path), "(a, 2)", "(b, 0)")
+    assert err == "error: exact rational required, got float"
+
+
+def test_budget_below_one_is_rejected(capsys, line_file):
+    err = _rejected(capsys, "axioms", line_file, "--budget", "-5")
+    assert "--budget: must be at least 1, got -5" in err
+
+
+def test_negative_depth_is_rejected(capsys, line_file):
+    err = _rejected(capsys, "wb", line_file, "(0, 2)", "(1, 0)", "--depth", "-2")
+    assert "--depth: must be at least 0, got -2" in err

@@ -149,6 +149,17 @@ def test_doubling_fails_one_lipschitz():
     assert lipschitz_check(x, f, 2, codomain=y).passed
 
 
+def test_lift_misses_a_slope_violation_between_grid_differences():
+    # the slope 2 between points 1/4 apart breaks alpha = 1, but the default
+    # lift radii differ by 1/2 at least, where the drop of 1/2 is allowed
+    space = FiniteTableSpace.metric_line([0, Fraction(1, 4)])
+    f = LscFunction(space, {"0": "1/2", "1/4": "0"})
+    report = lipschitz_check(space, f, 1)
+    assert not report.passed
+    assert report.lift_monotone
+    assert not report.verdicts_agree
+
+
 def test_poset_lipschitz_maps_are_monotone(diamond_space):
     # on 0/inf distances any alpha > 0 accepts exactly the monotone maps
     mono = {"bot": "bot", "l": "top", "r": "top", "top": "top"}
