@@ -17,7 +17,6 @@ from .errors import (
     NotAPartialOrder,
     NotAnAbstractBasis,
     QmetError,
-    TooLarge,
     UnknownElement,
     UnknownPoint,
 )

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import InvalidSup, NoOracle, QmetError, expect_object
+from .errors import BadInput, InvalidSup, NoOracle, QmetError, expect_object
 from .extreal import INF, ExtReal, as_fraction, monus
 from .spaces import (
     INF_POINT,
@@ -74,6 +74,8 @@ def ball(center: str, radius) -> FormalBall:
 
 def parse_ball(text: str) -> FormalBall:
     """Parse the literal form "(point, p/q)"."""
+    if not isinstance(text, str):
+        raise BadInput(f"a ball literal must be a string, got {type(text).__name__}")
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         body = body[1:-1]
@@ -258,6 +260,8 @@ def _witness_valid(space: Space, w: WayBelowWitness) -> bool:
         no_tail_member = not (x1 < star and star - x1 <= b1.radius - t)
         return no_tail_member and _members_follow_schema(space, w)
     # divergent
+    if w.limit_center != "inf":
+        return False
     d2 = space.dist(b2.center, "inf")
     if d2.is_infinite or d2.as_fraction() > b2.radius - t:
         return False

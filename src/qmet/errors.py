@@ -49,9 +49,5 @@ class NotAnAbstractBasis(QmetError):
     """
 
 
-class TooLarge(QmetError):
-    """Input exceeds the configured enumeration bound."""
-
-
 class IllegalMove(QmetError):
     """A game move violated the containment rules."""

@@ -5,8 +5,12 @@ rounded-ideal completions, the quasi-ideal layering check, the strong Choquet
 game on the up-set topology, and Hasse-diagram export.
 
 Rows of the order relation are stored as integer bitmasks, which keeps the
-exhaustive validations (transitivity, interpolation, directedness) cheap
-enough to run on every construction.
+exhaustive validations (transitivity, interpolation) cheap enough to run on
+every construction.  Both completions are built from generators, not by
+enumerating subsets: every ideal of a finite poset is the down-set of one
+element, and the rounded ideals of a finite basis are the below-sets of its
+self-related elements.  The subset enumeration straight from the
+definitions is kept under ``tests/`` as the independent route.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from .errors import (
     IllegalMove,
     NotAPartialOrder,
     NotAnAbstractBasis,
-    TooLarge,
     UnknownElement,
     expect_object,
 )
@@ -165,16 +168,21 @@ class FinitePoset:
     def up_closed_subsets(self) -> list[frozenset]:
         """All up-sets (the opens of the Scott = up-set topology), canonical order."""
         n = len(self._elements)
+        return [
+            frozenset(self._elements[i] for i in _bits(mask))
+            for mask in self._up_masks((1 << n) - 1)
+        ]
+
+    def _up_masks(self, within: int) -> list[int]:
+        """The up-closed sub-masks of within, in ascending order."""
         out = []
-        for mask in range(1 << n):
-            ok = True
-            for i in _bits(mask):
-                if self._up[i] & ~mask:
-                    ok = False
-                    break
-            if ok:
-                out.append(frozenset(self._elements[i] for i in _bits(mask)))
-        return out
+        mask = within
+        while True:
+            if all(not self._up[i] & ~mask for i in _bits(mask)):
+                out.append(mask)
+            if not mask:
+                return out[::-1]
+            mask = (mask - 1) & within
 
     def maximal_elements(self) -> list[str]:
         return [
@@ -259,41 +267,29 @@ class IdealCompletion:
     embedding: dict  # element -> name of its principal ideal
 
 
-def _set_name(p_elements: tuple[str, ...], subset: frozenset) -> str:
-    order = {e: i for i, e in enumerate(p_elements)}
-    return "{" + ",".join(sorted(subset, key=order.__getitem__)) + "}"
+def _inclusion_completion(
+    elements: tuple[str, ...], masks: Iterable[int]
+) -> tuple[FinitePoset, list[frozenset], dict]:
+    """The distinct sets among masks, ordered by size and then by member
+    indices, their inclusion poset, and the completion name of each mask."""
+    masks = sorted(set(masks), key=lambda m: (m.bit_count(), list(_bits(m))))
+    names = {m: "{" + ",".join(elements[i] for i in _bits(m)) + "}" for m in masks}
+    matrix = [[not a & ~b for b in masks] for a in masks]
+    ideals = [frozenset(elements[i] for i in _bits(m)) for m in masks]
+    return FinitePoset(list(names.values()), matrix), ideals, names
 
 
-def ideal_completion(p: FinitePoset, bound: int = 12) -> IdealCompletion:
-    """Poset of all ideals (nonempty directed down-sets) ordered by inclusion."""
-    if len(p) > bound:
-        raise TooLarge(f"poset has {len(p)} elements, bound is {bound}")
+def ideal_completion(p: FinitePoset) -> IdealCompletion:
+    """Poset of all ideals (nonempty directed down-sets) ordered by inclusion.
+
+    A finite directed set holds its own maximum, so every ideal is the
+    down-set of one element.
+    """
     n = len(p)
-    down = [
-        _mask_of(j for j in range(n) if p.leq_by_index(j, i)) for i in range(n)
-    ]
-    ideals = []
-    for mask in range(1, 1 << n):
-        members = list(_bits(mask))
-        if any(down[i] & ~mask for i in members):
-            continue
-        directed = all(
-            any(p.leq_by_index(i, k) and p.leq_by_index(j, k) for k in members)
-            for i in members
-            for j in members
-        )
-        if not directed:
-            continue
-        ideals.append(frozenset(p.elements[i] for i in members))
-    ideals.sort(key=lambda s: (len(s), sorted(p.index(e) for e in s)))
-    names = [_set_name(p.elements, s) for s in ideals]
-    matrix = [[a <= b for b in ideals] for a in ideals]
-    completion = FinitePoset(names, matrix)
-    embedding = {}
-    for e in p.elements:
-        principal = p.down_set(e)
-        embedding[e] = _set_name(p.elements, principal)
-    return IdealCompletion(completion, ideals, embedding)
+    down = [_mask_of(j for j in range(n) if p.leq_by_index(j, i)) for i in range(n)]
+    poset, ideals, names = _inclusion_completion(p.elements, down)
+    embedding = {e: names[down[i]] for i, e in enumerate(p.elements)}
+    return IdealCompletion(poset, ideals, embedding)
 
 
 # ---------------------------------------------------------------------------
@@ -393,55 +389,27 @@ class RoundedIdealCompletion:
     image: dict  # element -> completion name of its below-set, when it is an ideal
 
 
-def rounded_ideal_completion(basis: AbstractBasis, bound: int = 10) -> RoundedIdealCompletion:
-    """All rounded ideals by subset enumeration, ordered by inclusion.
+def rounded_ideal_completion(basis: AbstractBasis) -> RoundedIdealCompletion:
+    """All rounded ideals, ordered by inclusion.
 
     A rounded ideal is a nonempty subset D that is downwards closed for the
     strict relation and directed: every nonempty finite subset of D lies
     strictly below some member of D.  On finite carriers directedness forces
-    a member m of D with all of D strictly below m (in particular m below m).
+    a member m of D with all of D strictly below m (in particular m below m),
+    so D is the below-set of m, and every such below-set is a rounded ideal.
     """
-    if len(basis) > bound:
-        raise TooLarge(f"basis has {len(basis)} elements, bound is {bound}")
-    n = len(basis)
-    ideals = []
-    for mask in range(1, 1 << n):
-        members = list(_bits(mask))
-        if any(basis._below[i] & ~mask for i in members):
-            continue
-        directed = True
-        sub = mask
-        # quantify over all nonempty finite subsets literally; this is the
-        # independent route the generator view is checked against
-        while sub:
-            if not any(sub & ~basis._below[z] == 0 for z in members):
-                directed = False
-                break
-            sub = (sub - 1) & mask
-        if not directed:
-            continue
-        ideals.append(frozenset(basis.elements[i] for i in members))
-    ideals.sort(key=lambda s: (len(s), sorted(basis.index(e) for e in s)))
-    names = [_set_name(basis.elements, s) for s in ideals]
-    matrix = [[a <= b for b in ideals] for a in ideals]
-    completion = FinitePoset(names, matrix)
+    below = basis._below
+    generators = [below[j] for j in range(len(basis)) if below[j] >> j & 1]
+    poset, ideals, names = _inclusion_completion(basis.elements, generators)
     below_map = {e: basis.strictly_below(e) for e in basis.elements}
-    ideal_names = {s: _set_name(basis.elements, s) for s in ideals}
-    image = {
-        e: ideal_names.get(below_map[e])
-        for e in basis.elements
-    }
-    return RoundedIdealCompletion(completion, ideals, below_map, image)
+    image = {e: names.get(below[i]) for i, e in enumerate(basis.elements)}
+    return RoundedIdealCompletion(poset, ideals, below_map, image)
 
 
 def rounded_ideals_by_generators(basis: AbstractBasis) -> list[frozenset]:
-    """Generator-closure route: the rounded ideals of a finite basis are
-    exactly the below-sets of self-related elements."""
-    out = set()
-    for e in basis.elements:
-        if basis.prec(e, e):
-            out.add(basis.strictly_below(e))
-    return sorted(out, key=lambda s: (len(s), sorted(basis.index(x) for x in s)))
+    """The rounded ideals of a finite basis, the below-sets of its
+    self-related elements, in completion order."""
+    return rounded_ideal_completion(basis).ideals
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +424,13 @@ class QuasiIdealReport:
 
 def quasi_ideal_check(p: FinitePoset, finite_elems: Iterable[str]) -> QuasiIdealReport:
     """Everything below a finite element must itself be finite."""
-    fin = frozenset(finite_elems)
-    for name in fin:
-        p.index(name)
-    violations = []
-    for x in p.elements:
-        if x in fin:
-            continue
-        for f in p.elements:
-            if f in fin and p.leq(x, f):
-                violations.append((x, f))
+    finite = _mask_of(p.index(name) for name in finite_elems)
+    violations = [
+        (x, p.elements[j])
+        for i, x in enumerate(p.elements)
+        if not finite >> i & 1
+        for j in _bits(p.up_mask(i) & finite)
+    ]
     return QuasiIdealReport(not violations, violations)
 
 
@@ -538,16 +503,12 @@ def alpha_reply(p: FinitePoset, x: str, v: frozenset) -> str:
 def legal_beta_moves(p: FinitePoset, inside: frozenset) -> list[tuple[str, frozenset]]:
     """All legal challenger moves (x, V) with V a nonempty open inside the
     current open, in canonical order."""
-    opens = [
-        v
-        for v in p.up_closed_subsets()
-        if v and v <= inside
-    ]
-    opens.sort(key=lambda s: sorted(p.index(e) for e in s))
+    within = _mask_of(i for i, e in enumerate(p.elements) if e in inside)
+    opens = sorted(list(_bits(m)) for m in p._up_masks(within) if m)
     moves = []
-    for v in opens:
-        for x in sorted(v, key=p.index):
-            moves.append((x, v))
+    for members in opens:
+        v = frozenset(p.elements[i] for i in members)
+        moves.extend((p.elements[i], v) for i in members)
     return moves
 
 

@@ -6,6 +6,10 @@ balls.  Moving strictly upward inside the finite layer requires both a
 way-below jump in the ambient ball poset and a radius contraction by a fixed
 factor, so strict chains of finite elements shorten geometrically and
 nothing in the limit layer ever sits below a finite element.
+
+Model elements are formal balls, so the ambient rule reads them directly.
+The checks read the model poset's bitmask rows, mapping each element to its
+poset index by name.
 """
 
 from __future__ import annotations
@@ -19,14 +23,12 @@ from .posets import FinitePoset, export_dot, quasi_ideal_check
 from .spaces import Space
 
 
-@dataclass(frozen=True)
-class ModelElement:
-    center: str
-    radius: Fraction
+class ModelElement(FormalBall):
+    """A ball of the model; radius zero marks the limit layer."""
 
     @property
     def name(self) -> str:
-        return f"({self.center}, {self.radius})"
+        return str(self)
 
     @property
     def is_limit(self) -> bool:
@@ -96,9 +98,7 @@ def build_model(space: Space, depth: int, factor=Fraction(2)) -> ModelPoset:
             return True
         if e1.radius == 0 and e2.radius == 0:
             return space.dist(e1.center, e2.center) == ZERO
-        if oracle(
-            space, FormalBall(e1.center, e1.radius), FormalBall(e2.center, e2.radius)
-        ):
+        if oracle(space, e1, e2):
             return e1.radius >= factor * e2.radius
         return False
 
@@ -130,49 +130,45 @@ class ModelCheckReport:
         )
 
 
+def _limit_rows(m: ModelPoset) -> list[list[bool]]:
+    """The model order between the radius-zero balls, by carrier point."""
+    p = m.poset
+    zero = [p.index(f"({x}, 0)") for x in m.space.points]
+    return [[bool(p.up_mask(i) >> j & 1) for j in zero] for i in zero]
+
+
 def quasi_ideal_model_check(m: ModelPoset) -> ModelCheckReport:
     """Run the four structural clauses against a built (or tampered) model."""
     p = m.poset
+    at = {p.index(e.name): e for e in m.elements}
+    finite = [i for i, e in at.items() if not e.is_limit]
+    # the finite elements strictly above each element, in element order
+    above = {i: [j for j in finite if j != i and p.up_mask(i) >> j & 1] for i in at}
 
     layering_violations = [
-        (a.name, b.name)
-        for a in m.elements
-        if a.is_limit
-        for b in m.elements
-        if not b.is_limit and p.leq(a.name, b.name)
+        (e.name, at[j].name) for i, e in at.items() if e.is_limit for j in above[i]
     ]
 
-    finite = [e for e in m.elements if not e.is_limit]
-    order = {e.name: i for i, e in enumerate(finite)}
     memo: dict = {}
 
-    def longest_from(name: str) -> int:
-        if name in memo:
-            return memo[name]
-        best = 1
-        for e in finite:
-            if e.name != name and p.leq(name, e.name):
-                best = max(best, 1 + longest_from(e.name))
-        memo[name] = best
-        return best
+    def longest_from(i: int) -> int:
+        if i not in memo:
+            memo[i] = 1 + max((longest_from(j) for j in above[i]), default=0)
+        return memo[i]
 
-    longest = max((longest_from(e.name) for e in finite), default=0)
+    longest = max((longest_from(i) for i in finite), default=0)
     bound = m.depth + 1
 
-    limit_iso_ok = True
-    for x in m.space.points:
-        for y in m.space.points:
-            model_leq = p.leq(f"({x}, 0)", f"({y}, 0)")
-            if model_leq != m.space.specialization_leq(x, y):
-                limit_iso_ok = False
+    points = m.space.points
+    limit_iso_ok = _limit_rows(m) == [
+        [m.space.specialization_leq(x, y) for y in points] for x in points
+    ]
 
-    qreport = quasi_ideal_check(p, [e.name for e in finite])
+    qreport = quasi_ideal_check(p, [at[i].name for i in finite])
 
-    halving_ok = True
-    for a in finite:
-        for b in finite:
-            if a != b and p.leq(a.name, b.name) and not a.radius >= m.factor * b.radius:
-                halving_ok = False
+    halving_ok = all(
+        at[i].radius >= m.factor * at[j].radius for i in finite for j in above[i]
+    )
 
     return ModelCheckReport(
         not layering_violations,
@@ -188,11 +184,7 @@ def quasi_ideal_model_check(m: ModelPoset) -> ModelCheckReport:
 
 def limit_layer(m: ModelPoset) -> FinitePoset:
     """The induced poset on the radius-zero elements, named by carrier point."""
-    pts = list(m.space.points)
-    matrix = [
-        [m.poset.leq(f"({x}, 0)", f"({y}, 0)") for y in pts] for x in pts
-    ]
-    return FinitePoset(pts, matrix)
+    return FinitePoset(list(m.space.points), _limit_rows(m))
 
 
 def model_to_dot(m: ModelPoset) -> str:

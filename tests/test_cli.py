@@ -300,3 +300,13 @@ def test_budget_below_one_is_rejected(capsys, line_file):
 def test_negative_depth_is_rejected(capsys, line_file):
     err = _rejected(capsys, "wb", line_file, "(0, 2)", "(1, 0)", "--depth", "-2")
     assert "--depth: must be at least 0, got -2" in err
+
+
+def test_number_ball_literal_is_rejected(capsys, real_grid_file, tmp_path):
+    _, out = run(capsys, "wb", real_grid_file, "(inf, 2)", "(inf, 1)")
+    witness = records(out)[0]
+    witness["claim"] = [1, 2]
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    err = _rejected(capsys, "replay", str(path))
+    assert err == "error: a ball literal must be a string, got int"

@@ -6,7 +6,6 @@ from qmet.errors import (
     IllegalMove,
     NotAPartialOrder,
     NotAnAbstractBasis,
-    TooLarge,
     UnknownElement,
 )
 from qmet.posets import (
@@ -26,6 +25,13 @@ from qmet.posets import (
     verify_all_plays,
     way_below_by_enumeration,
     way_below_finite,
+)
+
+from subset_enumeration import (
+    ideal_completion_by_enumeration,
+    legal_beta_moves_by_enumeration,
+    rounded_ideal_completion_by_enumeration,
+    up_sets_by_enumeration,
 )
 
 
@@ -92,9 +98,37 @@ def test_ideal_completion_empty():
     assert len(c.poset) == 0
 
 
-def test_ideal_completion_too_large():
-    with pytest.raises(TooLarge):
-        ideal_completion(FinitePoset.antichain([f"a{i}" for i in range(13)]))
+def test_completions_beyond_enumeration_sizes():
+    # both completions come from generators, so sizes far past what subset
+    # enumeration can reach complete with one ideal per generator
+    for p in (
+        FinitePoset.antichain([f"a{i}" for i in range(13)]),
+        FinitePoset.chain([f"c{i}" for i in range(20)]),
+    ):
+        assert len(ideal_completion(p).ideals) == len(p)
+        basis = AbstractBasis(p.elements, p.to_json()["leq"])
+        assert len(rounded_ideal_completion(basis).ideals) == len(p)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_ideal_completion_matches_subset_enumeration(n):
+    for seed in range(4):
+        p = random_poset(n, seed)
+        got, want = ideal_completion(p), ideal_completion_by_enumeration(p)
+        assert got.ideals == want.ideals
+        assert got.poset.to_json() == want.poset.to_json()
+        assert got.embedding == want.embedding
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_rounded_ideal_completion_matches_subset_enumeration(n):
+    for seed in range(4):
+        b = random_abstract_basis(n, seed)
+        got, want = rounded_ideal_completion(b), rounded_ideal_completion_by_enumeration(b)
+        assert got.ideals == want.ideals
+        assert got.poset.to_json() == want.poset.to_json()
+        assert got.below_map == want.below_map
+        assert got.image == want.image
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -174,7 +208,7 @@ def test_dyadic_ball_chain_basis_is_rejected():
 @pytest.mark.parametrize("seed", range(20))
 def test_rounded_ideals_subset_enumeration_equals_generators(seed):
     b = random_abstract_basis(6, seed)
-    comp = rounded_ideal_completion(b)
+    comp = rounded_ideal_completion_by_enumeration(b)
     assert comp.ideals == rounded_ideals_by_generators(b)
 
 
@@ -290,6 +324,16 @@ def test_legal_moves_enumeration_is_canonical():
         ("b", frozenset({"a", "b"})),
         ("b", frozenset({"b"})),
     ]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_legal_moves_match_subset_enumeration(n):
+    for seed in range(3):
+        p = random_poset(n, seed)
+        opens = up_sets_by_enumeration(p)
+        assert p.up_closed_subsets() == opens
+        for inside in opens:
+            assert legal_beta_moves(p, inside) == legal_beta_moves_by_enumeration(p, inside)
 
 
 def test_choquet_seeded_determinism():

@@ -133,3 +133,12 @@ def test_replay_rejects_a_family_the_kind_does_not_admit(
     assert not divergent.replay(real_grid_finite)
     assert not divergent.replay(sorgenfrey4)
     assert not divergent.replay(metric_line4)
+
+
+def test_divergent_replay_requires_the_inf_limit(real_grid_inf):
+    witness = way_below(real_grid_inf, ball("inf", 2), ball("inf", 1)).witness
+    blob = witness.to_json()
+    assert WayBelowWitness.from_json(blob).replay(real_grid_inf)
+    blob["family"]["limit_center"] = "0"
+    blob["family"]["sup"][0] = "0"
+    assert not WayBelowWitness.from_json(blob).replay(real_grid_inf)
