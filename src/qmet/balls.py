@@ -37,6 +37,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import BadInput, InvalidSup, NoOracle, QmetError, expect_object
 from .extreal import INF, ExtReal, as_fraction, monus
+from .posets import _bits
 from .spaces import (
     INF_POINT,
     SkewedIntervalSpace,
@@ -455,8 +456,11 @@ class GeometricBallFamily:
     A ball (x, r) dominates every member of the family precisely when
     x + r <= s; in particular for s = 0 the sole upper bound is (0, 0).
     The rule never mentions the skew constant because no member is centered
-    at the origin.
+    at the origin.  It is exact; ``validate_against_truncation`` is the
+    tests' brute-force reference for it.
     """
+
+    no_escape = (UNKNOWN, "no escaping upper bound on the carrier grid")
 
     def __init__(self, space: SkewedIntervalSpace, s=0):
         if not isinstance(space, SkewedIntervalSpace):
@@ -472,11 +476,15 @@ class GeometricBallFamily:
     def truncation(self, depth: int) -> list:
         return [self.member(m) for m in range(depth + 1)]
 
+    def witness_members(self) -> list:
+        return self.truncation(8)
+
     def is_upper_bound(self, b: FormalBall) -> bool:
         return self.space.value(b.center) + b.radius <= self.s
 
-    def max_upper_radius(self, center_value: Fraction) -> Optional[Fraction]:
-        cap = self.s - center_value
+    def max_upper_radius(self, w: str) -> Optional[Fraction]:
+        """The largest u with (w, u) an upper bound, None when there is none."""
+        cap = self.s - self.space.value(w)
         return cap if cap >= 0 else None
 
     def shifted(self, a: Fraction) -> "GeometricBallFamily":
@@ -491,7 +499,8 @@ class GeometricBallFamily:
         """The closed-form rule must agree with brute force on truncations.
 
         Positive answers must dominate every materialized member; negative
-        answers must fail against some member within the horizon.
+        answers must fail against some member within the horizon, so a gap
+        below about 2^-horizon reads as a false alarm.
         """
         radii = [Fraction(0), self.s, self.s + 1, _dyadic(3), Fraction(2)]
         for name in self.space.points:
@@ -509,6 +518,44 @@ class GeometricBallFamily:
 
     def describe(self) -> dict:
         return {"kind": "geometric", "s": str(self.s)}
+
+
+class FiniteBallFamily:
+    """A finite family of carrier balls.  Its upper bounds at a point w are
+    the balls (w, u) with u up to a cap, so a probe over the carrier decides."""
+
+    no_escape = (HOLDS, "all shifted upper bounds dominate the shifted sup")
+
+    def __init__(self, space: Space, members: Sequence[FormalBall]):
+        self.space = space
+        self.members = list(members)
+
+    def witness_members(self) -> list:
+        return [(b.center, b.radius) for b in self.members]
+
+    def is_upper_bound(self, b: FormalBall) -> bool:
+        return all(leq_dplus(self.space, m, b) for m in self.members)
+
+    def max_upper_radius(self, w: str) -> Optional[Fraction]:
+        """The largest u with (w, u) an upper bound, None when there is none."""
+        cap = None
+        for b in self.members:
+            d = self.space.dist(b.center, w)
+            if d.is_infinite:
+                return None
+            room = b.radius - d.as_fraction()
+            if room < 0:
+                return None
+            cap = room if cap is None else min(cap, room)
+        return cap
+
+    def shifted(self, a: Fraction) -> "FiniteBallFamily":
+        return FiniteBallFamily(
+            self.space, [FormalBall(b.center, b.radius + a) for b in self.members]
+        )
+
+    def describe(self) -> dict:
+        return {"kind": "finite"}
 
 
 @dataclass
@@ -544,30 +591,14 @@ class StandardnessWitness:
     def replay(self, space: Space) -> bool:
         if self.family.get("kind") == "geometric":
             fam = GeometricBallFamily(space, self.family["s"])
-            shifted = fam.shifted(self.shift)
-            return shifted.is_upper_bound(self.candidate) and not leq_dplus(
-                space, self.target, self.candidate
-            )
-        members = [FormalBall(c, r + self.shift) for c, r in self.members]
-        is_ub = all(leq_dplus(space, m, self.candidate) for m in members)
-        return is_ub and not leq_dplus(space, self.target, self.candidate)
+        else:
+            fam = FiniteBallFamily(space, [FormalBall(c, r) for c, r in self.members])
+        return fam.shifted(self.shift).is_upper_bound(self.candidate) and not leq_dplus(
+            space, self.target, self.candidate
+        )
 
 
 FamilyLike = Union[GeometricBallFamily, Sequence[FormalBall]]
-
-
-def _finite_max_ub_radius(space, members, w: str, extra: Fraction) -> Optional[Fraction]:
-    """Largest u with (w, u) dominating every member shifted by extra."""
-    cap = None
-    for b in members:
-        d = space.dist(b.center, w)
-        if d.is_infinite:
-            return None
-        room = b.radius + extra - d.as_fraction()
-        if room < 0:
-            return None
-        cap = room if cap is None else min(cap, room)
-    return cap
 
 
 def standardness_probe(
@@ -578,68 +609,43 @@ def standardness_probe(
 
     Refuted means some upper bound of the shifted family fails to dominate
     (x, r + shift); together with a verified least upper bound (x, r) this
-    contradicts shift-invariance of directed suprema.
+    contradicts shift-invariance of directed suprema.  A list of balls is
+    read as a finite family.  When no upper bound escapes, a finite family
+    holds and a geometric one, whose members lie off the carrier, is unknown.
     """
     shift = as_fraction(shift)
     if shift < 0:
         raise QmetError("shift must be non-negative")
-    target = FormalBall(known_sup.center, known_sup.radius + shift)
-
-    if isinstance(family, GeometricBallFamily):
-        family.validate_against_truncation()
-        if not family.is_upper_bound(known_sup):
-            raise InvalidSup(f"{known_sup} does not dominate the family")
-        for w in space.points:
-            cap = family.max_upper_radius(space.value(w))
-            if cap is not None and not leq_dplus(space, known_sup, FormalBall(w, cap)):
-                raise InvalidSup(f"{known_sup} is not least: ({w}, {cap}) escapes it")
-        if shift == 0:
-            return Verdict(HOLDS, justification="identity shift")
-        shifted = family.shifted(shift)
-        for w in space.points:
-            cap = shifted.max_upper_radius(space.value(w))
-            if cap is None:
-                continue
-            cand = FormalBall(w, cap)
-            if not leq_dplus(space, target, cand):
-                witness = StandardnessWitness(
-                    family.describe(), shift, cand, target, family.truncation(8)
-                )
-                return Verdict(REFUTED, justification="escaping upper bound", witness=witness)
-        return Verdict(UNKNOWN, justification="no escaping upper bound on the carrier grid")
-
-    members = list(family)
-    if not members:
-        raise QmetError("family must be nonempty")
-    for a in members:
-        for b in members:
-            if not any(
-                leq_dplus(space, a, c) and leq_dplus(space, b, c) for c in members
-            ):
-                raise QmetError("family is not directed")
-    if not all(leq_dplus(space, m, known_sup) for m in members):
+    if not isinstance(family, GeometricBallFamily):
+        members = list(family)
+        if not members:
+            raise QmetError("family must be nonempty")
+        for a in members:
+            for b in members:
+                if not any(
+                    leq_dplus(space, a, c) and leq_dplus(space, b, c) for c in members
+                ):
+                    raise QmetError("family is not directed")
+        family = FiniteBallFamily(space, members)
+    if not family.is_upper_bound(known_sup):
         raise InvalidSup(f"{known_sup} does not dominate the family")
     for w in space.points:
-        cap = _finite_max_ub_radius(space, members, w, Fraction(0))
+        cap = family.max_upper_radius(w)
         if cap is not None and not leq_dplus(space, known_sup, FormalBall(w, cap)):
             raise InvalidSup(f"{known_sup} is not least: ({w}, {cap}) escapes it")
     if shift == 0:
         return Verdict(HOLDS, justification="identity shift")
+    target = FormalBall(known_sup.center, known_sup.radius + shift)
+    shifted = family.shifted(shift)
     for w in space.points:
-        cap = _finite_max_ub_radius(space, members, w, shift)
-        if cap is None:
-            continue
-        cand = FormalBall(w, cap)
-        if not leq_dplus(space, target, cand):
+        cap = shifted.max_upper_radius(w)
+        if cap is not None and not leq_dplus(space, target, FormalBall(w, cap)):
             witness = StandardnessWitness(
-                {"kind": "finite"},
-                shift,
-                cand,
-                target,
-                [(m.center, m.radius) for m in members],
+                family.describe(), shift, FormalBall(w, cap), target,
+                family.witness_members(),
             )
             return Verdict(REFUTED, justification="escaping upper bound", witness=witness)
-    return Verdict(HOLDS, justification="all shifted upper bounds dominate the shifted sup")
+    return Verdict(*family.no_escape)
 
 
 # ---------------------------------------------------------------------------
@@ -698,29 +704,18 @@ def order_laws_report(
                 failures.append(("antisymmetry", (balls[i], balls[j])))
     transitive_ok = True
     for i in range(n):
-        mask = rows[i]
-        j = 0
-        m = mask
-        while m:
-            if m & 1 and rows[j] & ~mask:
+        for j in _bits(rows[i]):
+            if rows[j] & ~rows[i]:
                 transitive_ok = False
                 failures.append(("transitivity", (balls[i], balls[j])))
-            m >>= 1
-            j += 1
     standard_ok = True
     for a in shifts:
         a = as_fraction(a)
-        for i, b1 in enumerate(balls):
-            for j, b2 in enumerate(balls):
-                plain = bool(rows[i] & (1 << j))
-                shifted = leq_dplus(
-                    space,
-                    FormalBall(b1.center, b1.radius + a),
-                    FormalBall(b2.center, b2.radius + a),
-                )
-                if plain != shifted:
-                    standard_ok = False
-                    failures.append(("shift_invariance", (b1, b2, a)))
+        _, shifted = _ball_grid(space, [as_fraction(r) + a for r in radii])
+        for i in range(n):
+            for j in _bits(rows[i] ^ shifted[i]):
+                standard_ok = False
+                failures.append(("shift_invariance", (balls[i], balls[j], a)))
     return OrderLawsReport(
         n, reflexive_ok, antisymmetric_ok, transitive_ok, standard_ok, failures
     )
@@ -762,15 +757,7 @@ def radius_law_report(
     failures = []
     for i, j, k in families:
         ub_mask = above[i] & above[j] & above[k]
-        least = None
-        m = ub_mask
-        u = 0
-        while m:
-            if m & 1 and ub_mask & ~above[u] == 0:
-                least = u
-                break
-            m >>= 1
-            u += 1
+        least = next((u for u in _bits(ub_mask) if ub_mask & ~above[u] == 0), None)
         if least is None:
             continue
         min_radius = min(balls[i].radius, balls[j].radius, balls[k].radius)

@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import balls, lipschitz, posets, qideal, spaces
-from .errors import QmetError, expect_object
+from .errors import NotAnAbstractBasis, QmetError, expect_object
 from .extreal import as_fraction
 
 
@@ -77,6 +77,7 @@ def cmd_axioms(args, out: Emitter) -> int:
         mode=report.mode,
         seed=report.seed,
         budget=report.budget,
+        triples_checked=report.triples_checked,
     )
 
 
@@ -216,7 +217,7 @@ def cmd_rideal(args, out: Emitter) -> int:
     obj = _load_json(args.basis)
     try:
         basis = posets.AbstractBasis.from_json(obj)
-    except QmetError as e:
+    except NotAnAbstractBasis as e:
         out.emit({"record": "basis_violation", "detail": [str(a) for a in e.args]})
         return _summary(out, "rideal", "fail", 1)
     completion = posets.rounded_ideal_completion(basis)

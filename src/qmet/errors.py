@@ -45,7 +45,9 @@ class NotAnAbstractBasis(QmetError):
     """A strict relation failed transitivity or interpolation.
 
     Carries the violated instance in ``args[1]`` as
-    ``("transitivity", (a, b, c))`` or ``("interpolation", (subset, y))``.
+    ``("transitivity", (a, b, c))`` or ``("interpolation", (members, y))``,
+    the members of the subset in basis order.  A malformed document
+    (wrong kind, duplicate names, shape mismatch) is a plain ``QmetError``.
     """
 
 

@@ -169,6 +169,9 @@ class LscFunction:
 # ---------------------------------------------------------------------------
 # Lipschitz checking
 
+# The radius grid on which lipschitz_check tests the ball lift.
+LIFT_RADII = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+
 
 @dataclass
 class LipschitzReport:
@@ -200,17 +203,16 @@ def lipschitz_check(
     f: Union[LscFunction, dict],
     alpha,
     codomain: Optional[Space] = None,
-    lift_radii: Iterable = (0, Fraction(1, 2), 1, 2),
 ) -> LipschitzReport:
     """Check the slope bound pairwise and, independently, monotonicity of
-    the ball lift (x, r) -> (f(x), alpha * r) on the radii ``lift_radii``.
+    the ball lift (x, r) -> (f(x), alpha * r) on the radii ``LIFT_RADII``.
 
     The slope verdict is exact.  The lift verdict only tests each pair (x, y)
     at the grid differences r - s >= d(x, y), so it is implied by the slope
     verdict but weaker where d(x, y) is not itself a difference.  On the
-    default radii (0, 1/2, 1, 2) the differences are 0, 1/2, 1, 3/2 and 2:
-    a slope violation at distance 1/4 can pass the lift, and pairs more than
-    2 apart are never tested.
+    radii (0, 1/2, 1, 2) the differences are 0, 1/2, 1, 3/2 and 2: a slope
+    violation at distance 1/4 can pass the lift, and pairs more than 2 apart
+    are never tested.
     """
     alpha = as_fraction(alpha)
     if alpha < 0:
@@ -239,12 +241,11 @@ def lipschitz_check(
                 violations.append((x, y, lhs, rhs))
 
     lift_violations = []
-    radii = [as_fraction(r) for r in lift_radii]
     for x in space.points:
         for y in space.points:
             d = space.dist(x, y)
-            for r in radii:
-                for s in radii:
+            for r in LIFT_RADII:
+                for s in LIFT_RADII:
                     if r < s or d.is_infinite or d.as_fraction() > r - s:
                         continue
                     # (x, r) <= (y, s); the lift must preserve it

@@ -23,18 +23,18 @@ from .errors import (
     IllegalMove,
     NotAPartialOrder,
     NotAnAbstractBasis,
+    QmetError,
     UnknownElement,
     expect_object,
 )
 
 
 def _bits(mask: int):
-    i = 0
+    """The indices of the set bits, ascending."""
     while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _mask_of(indices: Iterable[int]) -> int:
@@ -308,10 +308,10 @@ class AbstractBasis:
     def __init__(self, elements: Sequence[str], prec: Sequence[Sequence[bool]]):
         self._elements = tuple(elements)
         if len(set(self._elements)) != len(self._elements):
-            raise NotAnAbstractBasis("duplicate element names", None)
+            raise QmetError("duplicate element names")
         n = len(self._elements)
         if len(prec) != n or any(len(row) != n for row in prec):
-            raise NotAnAbstractBasis("relation matrix shape mismatch", None)
+            raise QmetError("relation matrix shape mismatch")
         self._below = [
             _mask_of(i for i in range(n) if prec[i][j]) for j in range(n)
         ]  # _below[j] = {i : i prec j}
@@ -338,7 +338,7 @@ class AbstractBasis:
             if not below:
                 continue
             if not any(below & ~self._below[z] == 0 for z in _bits(below)):
-                witness = frozenset(self._elements[i] for i in _bits(below))
+                witness = tuple(self._elements[i] for i in _bits(below))
                 raise NotAnAbstractBasis(
                     "interpolation", (witness, self._elements[j])
                 )
@@ -377,7 +377,7 @@ class AbstractBasis:
     @classmethod
     def from_json(cls, obj: dict) -> "AbstractBasis":
         if expect_object(obj, "a basis").get("kind") != "basis":
-            raise NotAnAbstractBasis(f"unexpected kind {obj.get('kind')!r}", None)
+            raise QmetError(f"unexpected kind {obj.get('kind')!r}")
         return cls(obj["elements"], obj["prec"])
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from qmet.balls import (
     GeometricBallFamily,
+    StandardnessWitness,
     WayBelowWitness,
     ball,
     center_point_check,
@@ -21,7 +22,12 @@ from qmet.balls import (
 )
 from qmet.errors import InvalidSup, NoOracle, QmetError
 from qmet.extreal import INF, ZERO, ExtReal
-from qmet.spaces import FiniteTableSpace, RealGridSpace, parse_point_value
+from qmet.spaces import (
+    FiniteTableSpace,
+    RealGridSpace,
+    SkewedIntervalSpace,
+    parse_point_value,
+)
 
 from conftest import dyadics, random_table_space
 
@@ -328,6 +334,121 @@ def test_scripted_family_truncation_agreement(skewed_unit):
                 assert all(fam.dominates_member(b, m) for m in range(12))
 
 
+def _random_skewed_grid(rng):
+    """A skewed interval with a >= 1 on a grid of coarse rationals; every gap
+    the truncation check meets is far above its 2^-80 horizon."""
+    count = rng.randrange(1, 7)
+    values = {Fraction(0)} | {Fraction(rng.randrange(65), 64) for _ in range(count)}
+    a = Fraction(rng.randrange(4, 13), 4)
+    return SkewedIntervalSpace(a, sorted(values))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_scripted_family_rule_on_random_skewed_grids(seed):
+    import random
+
+    rng = random.Random(seed)
+    space = _random_skewed_grid(rng)
+    for _ in range(3):
+        fam = GeometricBallFamily(space, Fraction(rng.randrange(17), 8))
+        fam.validate_against_truncation()
+
+
+TINY = Fraction(1, 2**100)
+
+
+def test_standardness_tiny_skewed_gap_is_refuted():
+    # the rule x + r <= s is exact: (2^-100, 0) bounds no family with s = 0,
+    # although only members past the hundred-and-first show it
+    space = SkewedIntervalSpace(1, [Fraction(0), TINY, Fraction(1, 2), Fraction(1)])
+    fam = GeometricBallFamily(space, 0)
+    low = ball(str(TINY), 0)
+    assert not fam.is_upper_bound(low)
+    assert all(fam.dominates_member(low, m) for m in range(100))
+    assert not fam.dominates_member(low, 102)
+    v = standardness_probe(space, fam, ball("0", 0), 1)
+    assert v.is_refuted
+    assert v.witness.candidate == ball(str(TINY), 1 - TINY)
+    assert v.witness.replay(space)
+
+
+def _chain_families(space, rng, radii, count):
+    """Seeded finite chains of carrier balls, each ball below the next; the
+    last one is the family's least upper bound."""
+    grid = [ball(p, r) for p in space.points for r in radii]
+    for _ in range(count):
+        chain = [rng.choice(grid)]
+        for _ in range(rng.randrange(3)):
+            above = [b for b in grid if leq_dplus(space, chain[-1], b) and b != chain[-1]]
+            if not above:
+                break
+            chain.append(rng.choice(above))
+        yield chain
+
+
+def _shifted_caps(space, members, shift):
+    """Per carrier point, the largest u with (w, u) above every shifted
+    member, computed straight from the distances."""
+    caps = {}
+    for w in space.points:
+        ds = [space.dist(m.center, w) for m in members]
+        if all(d.is_finite for d in ds):
+            cap = min(m.radius + shift - d.as_fraction() for m, d in zip(members, ds))
+            if cap >= 0:
+                caps[w] = cap
+    return caps
+
+
+@pytest.mark.parametrize(
+    "fixture",
+    [
+        "metric_line4",
+        "real_grid_inf",
+        "real_grid_finite",
+        "sorgenfrey4",
+        "diamond_space",
+        "skewed_unit",
+        "tailed_standard",
+    ],
+)
+def test_standardness_verdicts_are_sound(fixture, request):
+    """Refutations replay after a JSON round trip; a finite *holds* is
+    confirmed by brute force over carrier balls, the caps included."""
+    import json
+    import random
+
+    space = request.getfixturevalue(fixture)
+    rng = random.Random(fixture)
+    radii = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]
+    shifts = [Fraction(1, 4), Fraction(1), Fraction(5, 2)]
+    probes = [(chain, chain[-1]) for chain in _chain_families(space, rng, radii, 12)]
+    if isinstance(space, SkewedIntervalSpace):
+        probes.append((GeometricBallFamily(space, 0), ball("0", 0)))
+    seen = set()
+    for family, sup in probes:
+        for shift in shifts:
+            v = standardness_probe(space, family, sup, shift)
+            seen.add(v.status)
+            if v.is_refuted:
+                blob = json.loads(json.dumps(v.witness.to_json()))
+                assert StandardnessWitness.from_json(blob).replay(space)
+            elif isinstance(family, list):
+                assert v.is_holds
+                target = ball(sup.center, sup.radius + shift)
+                caps = _shifted_caps(space, family, shift)
+                for w in space.points:
+                    for u in set(radii) | {r + shift for r in radii} | set(caps.values()):
+                        cand = ball(w, u)
+                        if all(
+                            leq_dplus(space, ball(m.center, m.radius + shift), cand)
+                            for m in family
+                        ):
+                            assert leq_dplus(space, target, cand), (family, shift, cand)
+    assert "holds" in seen
+    if isinstance(space, SkewedIntervalSpace):
+        assert "refuted" in seen
+
+
 def test_witness_serialization_round_trip(tailed_standard):
     v = way_below(tailed_standard, ball("-2", 3), ball("-1", 1), depth=8)
     blob = v.witness.to_json()
@@ -367,3 +488,44 @@ def test_radius_law(metric_line4, sorgenfrey4):
         report = radius_law_report(space, dyadics(3))
         assert report.families_checked > 0
         assert report.passed, report.failures
+
+
+def _order_failures_by_pairs(space, radii, shifts):
+    """The order-law failures of ``order_laws_report``, one ``leq_dplus``
+    call per pair and per shift."""
+    balls = [ball(p, r) for p in space.points for r in radii]
+    leq = [[leq_dplus(space, a, b) for b in balls] for a in balls]
+    n = len(balls)
+    out = [("reflexivity", balls[i]) for i in range(n) if not leq[i][i]][:1]
+    out += [
+        ("antisymmetry", (balls[i], balls[j]))
+        for i in range(n) for j in range(i + 1, n) if leq[i][j] and leq[j][i]
+    ]
+    out += [
+        ("transitivity", (balls[i], balls[j]))
+        for i in range(n) for j in range(n)
+        if leq[i][j] and any(leq[j][k] and not leq[i][k] for k in range(n))
+    ]
+    for a in shifts:
+        out += [
+            ("shift_invariance", (b1, b2, a))
+            for b1 in balls for b2 in balls
+            if leq_dplus(space, b1, b2)
+            != leq_dplus(space, ball(b1.center, b1.radius + a), ball(b2.center, b2.radius + a))
+        ]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_order_laws_match_pairwise_route(seed):
+    # a < 1 breaks the triangle inequality, so transitivity failures appear
+    spaces = [
+        SkewedIntervalSpace(Fraction(1, 2), [Fraction(0), Fraction(1, 10), Fraction(1)]),
+        random_table_space(5, seed),
+        random_table_space(4, seed, symmetric=True),
+    ]
+    shifts = [Fraction(1, 4), Fraction(3)]
+    for space in spaces:
+        report = order_laws_report(space, dyadics(2), shifts)
+        assert report.failures == _order_failures_by_pairs(space, dyadics(2), shifts)
+    assert not order_laws_report(spaces[0], dyadics(2)).transitive_ok

@@ -1,8 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from qmet.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -80,6 +87,7 @@ def test_axioms_failure_prints_witness(capsys, skew_bad):
         "mode": "exhaustive",
         "seed": None,
         "budget": 200000,
+        "triples_checked": 27,
     }
 
 
@@ -209,6 +217,76 @@ def test_rideal(capsys, tmp_path):
     code, out = run(capsys, "rideal", str(bad))
     assert code == 1
     assert records(out)[0]["record"] == "basis_violation"
+
+
+def test_axioms_summary_reports_triples_checked(capsys, line_file):
+    code, out = run(capsys, "axioms", line_file, "--budget", "10")
+    assert code == 0
+    summary = records(out)[-1]
+    assert (summary["mode"], summary["triples_checked"]) == ("sampled", 10)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "poset", "elements": ["a"], "prec": [[False]]},
+        {"kind": "basis", "elements": ["a", "a"], "prec": [[False, False], [False, False]]},
+        {"kind": "basis", "elements": ["a", "b"], "prec": [[False, False]]},
+    ],
+    ids=["wrong_kind", "duplicate_names", "shape_mismatch"],
+)
+def test_rideal_malformed_basis_exits_2(capsys, tmp_path, doc):
+    path = tmp_path / "basis.json"
+    path.write_text(json.dumps(doc))
+    code = main(["rideal", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_rideal_interpolation_detail_ignores_hash_seed(tmp_path):
+    # p, q and r lie strictly below y with nothing between them and y
+    path = tmp_path / "basis.json"
+    prec = [[False] * 4 for _ in range(4)]
+    for i in range(3):
+        prec[i][3] = True
+    path.write_text(json.dumps({"kind": "basis", "elements": ["p", "q", "r", "y"], "prec": prec}))
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-m", "qmet.cli", "rideal", str(path)],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    violation = records(outs[0].decode())[0]
+    assert violation["detail"] == ["interpolation", "(('p', 'q', 'r'), 'y')"]
+
+
+def test_standard_probe_tiny_skewed_gap(capsys, tmp_path):
+    tiny = str(Fraction(1, 2**100))
+    space = tmp_path / "tiny.json"
+    space.write_text(
+        json.dumps({"kind": "skewed_interval", "a": "1", "values": ["0", tiny, "1/2", "1"]})
+    )
+    code, _ = run(capsys, "axioms", str(space))
+    assert code == 0
+    probe = tmp_path / "probe.json"
+    probe.write_text(
+        json.dumps({"family": {"kind": "geometric", "s": "0"}, "sup": "(0, 0)", "shift": "1"})
+    )
+    code, out = run(capsys, "standard", str(space), str(probe))
+    assert code == 1
+    witness = records(out)[0]
+    assert witness["candidate"] == f"({tiny}, {1 - Fraction(tiny)})"
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(witness))
+    code, out = run(capsys, "replay", str(path))
+    assert code == 1
+    assert records(out)[-1]["verdict"] == "refuted"
 
 
 def test_idl(capsys, chain_file):
