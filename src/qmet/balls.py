@@ -31,8 +31,11 @@ its closed-form tail argument is what gets serialized and replayed.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from .errors import BadInput, InvalidSup, NoOracle, QmetError, expect_object
@@ -425,23 +428,31 @@ def smyth_probe(
 ) -> SmythReport:
     """Probe both halves of the Smyth-completeness criterion: every point a
     center point, and no gap between strict approximation and way-below."""
-    orc = way_below_oracle(space)
-    if orc is None:
+    if way_below_oracle(space) is None:
         raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
-    _, oracle = orc
     non_centers = [x for x in space.points if not center_point_check(space, x)]
     radii = [Fraction(j) for j in range(4)] + [_dyadic(k) for k in range(1, depth + 1)]
-    balls = [FormalBall(p, r) for p in space.points for r in radii]
-    pairs = [(a, b) for a in balls for b in balls]
-    if len(pairs) <= sample_budget:
-        mode, used_seed = "exhaustive", None
-    else:
-        rng = random.Random(seed)
-        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(sample_budget)]
-        mode, used_seed = "sampled", seed
-    gaps = [
-        (a, b) for a, b in pairs if prec(space, a, b) and not oracle(space, a, b)
+    balls, strict, _ = _ball_grid(space, radii, strict=True)
+    m, nb = len(radii), len(balls)
+    # The rule rejects a strict approximation only between two balls at one
+    # non-center point, so a gap row is the strict row masked to that block.
+    block = (1 << m) - 1  # the radius bits of one point
+    gap_rows = [
+        row & block << (i - i % m) if balls[i].center in space.non_center_points else 0
+        for i, row in enumerate(strict)
     ]
+    if nb * nb <= sample_budget:
+        mode, used_seed = "exhaustive", None
+        gaps = [(balls[i], balls[j]) for i, row in enumerate(gap_rows) for j in _bits(row)]
+    else:
+        mode, used_seed = "sampled", seed
+        gaps = []
+        if any(gap_rows):  # otherwise no draw can find a gap
+            rng = random.Random(seed)
+            for _ in range(sample_budget):
+                i, j = divmod(rng.randrange(nb * nb), nb)
+                if gap_rows[i] >> j & 1:
+                    gaps.append((balls[i], balls[j]))
     return SmythReport(non_centers, gaps, mode, used_seed, depth)
 
 
@@ -522,7 +533,11 @@ class GeometricBallFamily:
 
 class FiniteBallFamily:
     """A finite family of carrier balls.  Its upper bounds at a point w are
-    the balls (w, u) with u up to a cap, so a probe over the carrier decides."""
+    the balls (w, u) with u up to a cap, so a probe over the carrier decides.
+
+    Where the carrier's ball order is transitive, a directed finite family
+    holds its maximum, which is its sup, and <=+ is shift-invariant, so the
+    probe cannot refute it there."""
 
     no_escape = (HOLDS, "all shifted upper bounds dominate the shifted sup")
 
@@ -612,6 +627,9 @@ def standardness_probe(
     contradicts shift-invariance of directed suprema.  A list of balls is
     read as a finite family.  When no upper bound escapes, a finite family
     holds and a geometric one, whose members lie off the carrier, is unknown.
+    A finite family is refuted only where the ball order is not transitive
+    (see ``FiniteBallFamily``); only off-carrier families can show a space
+    non-standard.
     """
     shift = as_fraction(shift)
     if shift < 0:
@@ -671,18 +689,39 @@ class OrderLawsReport:
         )
 
 
-def _ball_grid(space: Space, radii: Sequence[Fraction]) -> tuple[list, list]:
-    """The balls over the carrier and radius grid, and their <=+ rows: bit j
-    of rows[i] is set iff balls[i] <=+ balls[j]."""
-    balls = [FormalBall(p, as_fraction(r)) for p in space.points for r in radii]
+def _ball_grid(space: Space, radii: Sequence, strict: bool = False) -> tuple[list, list, list]:
+    """The balls over the carrier and radius grid, by point then radius, and
+    their rows: bit j of rows[i] is set iff balls[i] <=+ balls[j], or, with
+    strict, iff balls[i] strictly approximates balls[j].  The third item
+    holds the radii as ints over the common denominator of the radii and the
+    space's int view, where every compare is made; ``leq_dplus`` and
+    ``prec`` are the reference routes."""
+    radii = [as_fraction(r) for r in radii]
+    balls = [FormalBall(p, r) for p in space.points for r in radii]
+    den, table = space._int_view()
+    scale = lcm(den, *(r.denominator for r in radii))
+    factor = scale // den
+    scaled = [r.numerator * (scale // r.denominator) for r in radii]
+    m = len(radii)
+    # (x, r) reaches (y, s) iff s <= r - d(x, y) (s < r - d(x, y) when
+    # strict): a count of the sorted radii, whose bits in y's block are
+    # blocks[y][count]
+    order = sorted(range(m), key=scaled.__getitem__)
+    levels = [scaled[k] for k in order]
+    prefix = [0]
+    for k in order:
+        prefix.append(prefix[-1] | 1 << k)
+    blocks = [[mask << (y * m) for mask in prefix] for y in range(len(table))]
+    cut = bisect_left if strict else bisect_right
     rows = []
-    for a in balls:
-        row = 0
-        for j, b in enumerate(balls):
-            if leq_dplus(space, a, b):
-                row |= 1 << j
-        rows.append(row)
-    return balls, rows
+    for drow in table:
+        reach = [(d * factor, block) for d, block in zip(drow, blocks) if d is not None]
+        for r in scaled:
+            row = 0
+            for d, block in reach:
+                row |= block[cut(levels, r - d)]
+            rows.append(row)
+    return balls, rows, scaled
 
 
 def order_laws_report(
@@ -690,7 +729,7 @@ def order_laws_report(
 ) -> OrderLawsReport:
     """Exhaustively verify that the ball order is a partial order on the
     given radius grid and that it is invariant under uniform radius shifts."""
-    balls, rows = _ball_grid(space, radii)
+    balls, rows, _ = _ball_grid(space, radii)
     n = len(balls)
     failures = []
     reflexive_ok = all(rows[i] & (1 << i) for i in range(n))
@@ -698,8 +737,8 @@ def order_laws_report(
         failures.append(("reflexivity", next(balls[i] for i in range(n) if not rows[i] & (1 << i))))
     antisymmetric_ok = True
     for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i] & (1 << j) and rows[j] & (1 << i) and balls[i] != balls[j]:
+        for j in _bits(rows[i] & ~((2 << i) - 1)):
+            if rows[j] >> i & 1 and balls[i] != balls[j]:
                 antisymmetric_ok = False
                 failures.append(("antisymmetry", (balls[i], balls[j])))
     transitive_ok = True
@@ -711,7 +750,7 @@ def order_laws_report(
     standard_ok = True
     for a in shifts:
         a = as_fraction(a)
-        _, shifted = _ball_grid(space, [as_fraction(r) + a for r in radii])
+        _, shifted, _ = _ball_grid(space, [as_fraction(r) + a for r in radii])
         for i in range(n):
             for j in _bits(rows[i] ^ shifted[i]):
                 standard_ok = False
@@ -743,26 +782,36 @@ def radius_law_report(
     Families are tents {a, b, c} with a and b below c, which are directed
     because c bounds every subset from inside.
     """
-    balls, above = _ball_grid(space, radii)  # above[i]: the balls dominating ball i
-    n = len(balls)
-    rng = random.Random(seed)
-    families = []
-    for k in range(n):
-        below = [i for i in range(n) if above[i] & (1 << k)]
-        for i in below:
-            for j in below:
-                families.append((i, j, k))
-    if len(families) > sample_budget:
-        families = [families[rng.randrange(len(families))] for _ in range(sample_budget)]
+    balls, above, scaled = _ball_grid(space, radii)  # above[i]: the balls dominating ball i
+    m = len(scaled)
+    below = [[] for _ in balls]
+    for i, row in enumerate(above):
+        for k in _bits(row):
+            below[k].append(i)
+    # family f is (below[k][a], below[k][b], k) with f - starts[k] = a |below[k]| + b
+    starts = list(accumulate((len(b) ** 2 for b in below), initial=0))
+    total = starts[-1]
+    if total > sample_budget:
+        rng = random.Random(seed)
+        picks = [rng.randrange(total) for _ in range(sample_budget)]
+    else:
+        picks = range(total)
     failures = []
-    for i, j, k in families:
+    least_of = {}  # upper-bound mask -> its least member; tents share masks
+    for f in picks:
+        k = bisect_right(starts, f) - 1
+        a, b = divmod(f - starts[k], len(below[k]))
+        i, j = below[k][a], below[k][b]
         ub_mask = above[i] & above[j] & above[k]
-        least = next((u for u in _bits(ub_mask) if ub_mask & ~above[u] == 0), None)
+        if ub_mask not in least_of:
+            least_of[ub_mask] = next(
+                (u for u in _bits(ub_mask) if ub_mask & ~above[u] == 0), None
+            )
+        least = least_of[ub_mask]
         if least is None:
             continue
-        min_radius = min(balls[i].radius, balls[j].radius, balls[k].radius)
-        if balls[least].radius != min_radius:
+        if scaled[least % m] != min(scaled[i % m], scaled[j % m], scaled[k % m]):
             failures.append(
                 ((balls[i], balls[j], balls[k]), balls[least])
             )
-    return RadiusLawReport(len(families), failures)
+    return RadiusLawReport(len(picks), failures)

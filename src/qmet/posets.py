@@ -221,41 +221,6 @@ def way_below_finite(p: FinitePoset, a: str, b: str) -> bool:
     return p.leq(a, b)
 
 
-def way_below_by_enumeration(p: FinitePoset, a: str, b: str) -> bool:
-    """Independent check straight from the definition.
-
-    a is way below b iff every directed subset whose supremum dominates b
-    contains an element above a.  Finite directed subsets have their maximum
-    as supremum, so the enumeration is complete.  Exponential; intended for
-    posets of at most ~8 elements.
-    """
-    n = len(p)
-    ia, ib = p.index(a), p.index(b)
-    for mask in range(1, 1 << n):
-        members = list(_bits(mask))
-        directed = True
-        for i in members:
-            for j in members:
-                if not any(
-                    p.leq_by_index(i, k) and p.leq_by_index(j, k) for k in members
-                ):
-                    directed = False
-                    break
-            if not directed:
-                break
-        if not directed:
-            continue
-        tops = [k for k in members if all(p.leq_by_index(i, k) for i in members)]
-        if not tops:
-            continue
-        sup = tops[0]
-        if p.leq_by_index(ib, sup) and not any(
-            p.leq_by_index(ia, k) for k in members
-        ):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Ideal completion
 

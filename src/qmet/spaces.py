@@ -15,6 +15,8 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import sub
 from typing import Optional, Sequence
 
 from .errors import QmetError, UnknownPoint, expect_object
@@ -87,6 +89,7 @@ class Space:
             raise QmetError("duplicate point names")
         self._index = {p: i for i, p in enumerate(self._points)}
         self._table: list[list[ExtReal]] = []
+        self._ints: Optional[tuple] = None
 
     def _fill_table(self):
         n = len(self._points)
@@ -115,6 +118,20 @@ class Space:
 
     def dist_by_index(self, i: int, j: int) -> ExtReal:
         return self._table[i][j]
+
+    def _int_view(self) -> tuple[int, list]:
+        """(D, rows): D is the lcm of the denominators of the finite
+        entries, and rows[i][j] is d(i, j) * D as an int, None for inf.
+        Built once per space; the ball-grid kernel and the axiom check
+        compare these exact ints instead of ExtReals."""
+        if self._ints is None:
+            fracs = [[v.as_fraction() if v.is_finite else None for v in row] for row in self._table]
+            den = lcm(*(f.denominator for row in fracs for f in row if f is not None))
+            self._ints = (den, [
+                [None if f is None else f.numerator * (den // f.denominator) for f in row]
+                for row in fracs
+            ])
+        return self._ints
 
     def specialization_leq(self, x: str, y: str) -> bool:
         """x is below y in the specialization order when d(x, y) = 0."""
@@ -405,24 +422,20 @@ def check_axioms(space: Space, sample_budget: int = 200_000, seed: int = 0) -> A
 
     Runs exhaustively when the carrier cubed fits inside the budget,
     otherwise draws a deterministic seeded sample of triples.  Zero-distance
-    and identity checks are quadratic and always exhaustive.
+    and identity checks are quadratic and always exhaustive.  Every check
+    compares the space's int view; violation details quote the ExtReals.
     """
     pts = space.points
     n = len(pts)
-    violations: list[AxiomViolation] = []
-
-    for i in range(n):
-        d = space.dist_by_index(i, i)
-        if d != ZERO:
-            violations.append(
-                AxiomViolation("self_distance", (pts[i],), f"d(x,x) = {d}")
-            )
+    _, rows = space._int_view()
+    violations = [
+        AxiomViolation("self_distance", (pts[i],), f"d(x,x) = {space.dist_by_index(i, i)}")
+        for i in range(n)
+        if rows[i][i] != 0
+    ]
     for i in range(n):
         for j in range(i + 1, n):
-            if (
-                space.dist_by_index(i, j) == ZERO
-                and space.dist_by_index(j, i) == ZERO
-            ):
+            if rows[i][j] == 0 and rows[j][i] == 0:
                 violations.append(
                     AxiomViolation(
                         "identity_of_indiscernibles",
@@ -431,31 +444,41 @@ def check_axioms(space: Space, sample_budget: int = 200_000, seed: int = 0) -> A
                     )
                 )
 
-    def triangle(i, j, k):
+    # inf as an int above every sum of two finite entries, so that
+    # d(x,z) > d(x,y) + d(y,z) is one int compare with the ExtReal meaning
+    top = 2 * max((v for row in rows for v in row if v is not None), default=0) + 1
+    t = [[top if v is None else v for v in row] for row in rows]
+
+    def broken_triangle(i, j, k):
         lhs = space.dist_by_index(i, k)
         rhs = space.dist_by_index(i, j) + space.dist_by_index(j, k)
-        if lhs > rhs:
-            violations.append(
-                AxiomViolation(
-                    "triangle",
-                    (pts[i], pts[j], pts[k]),
-                    f"d(x,z) = {lhs} > {rhs} = d(x,y) + d(y,z)",
-                )
+        violations.append(
+            AxiomViolation(
+                "triangle",
+                (pts[i], pts[j], pts[k]),
+                f"d(x,z) = {lhs} > {rhs} = d(x,y) + d(y,z)",
             )
+        )
 
     if n**3 <= sample_budget:
         mode, used_seed = "exhaustive", None
         checked = n**3
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    triangle(i, j, k)
+        for i, ti in enumerate(t):
+            for j, dij in enumerate(ti):
+                tj = t[j]
+                # some k has d(i, k) - d(j, k) > d(i, j)
+                if max(map(sub, ti, tj)) > dij:
+                    for k in range(n):
+                        if ti[k] > dij + tj[k]:
+                            broken_triangle(i, j, k)
     else:
         mode, used_seed = "sampled", seed
         rng = random.Random(seed)
         checked = sample_budget
         for _ in range(sample_budget):
-            triangle(rng.randrange(n), rng.randrange(n), rng.randrange(n))
+            i, j, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            if t[i][k] > t[i][j] + t[j][k]:
+                broken_triangle(i, j, k)
 
     return AxiomReport(not violations, violations, mode, used_seed, sample_budget, checked)
 

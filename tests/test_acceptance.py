@@ -27,7 +27,6 @@ from qmet.lipschitz import (
     envelope_closed_form,
     hat_membership,
     lipschitz_threshold,
-    scott_open_thresholds_bruteforce,
 )
 from qmet.posets import (
     FinitePoset,
@@ -53,6 +52,7 @@ from qmet.spaces import (
 )
 
 from subset_enumeration import rounded_ideal_completion_by_enumeration
+from threshold_enumeration import scott_open_thresholds_bruteforce
 
 ok = print
 

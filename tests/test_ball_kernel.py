@@ -1,0 +1,240 @@
+"""The integer ball-grid kernel and the int-view axiom check against the
+reference routes: pairwise ``leq_dplus`` / ``prec`` for the rows, and the
+ExtReal triangle loop below for ``check_axioms``."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from qmet.balls import (
+    _ball_grid,
+    ball,
+    leq_dplus,
+    prec,
+    radius_law_report,
+    smyth_probe,
+    way_below_oracle,
+)
+from qmet.extreal import INF, ZERO, ExtReal
+from qmet.spaces import (
+    AxiomReport,
+    AxiomViolation,
+    FiniteTableSpace,
+    SkewedIntervalSpace,
+    check_axioms,
+)
+
+from conftest import dyadics, random_table_space
+
+FIXTURES = [
+    "metric_line4",
+    "metric_line8",
+    "real_grid_inf",
+    "real_grid_finite",
+    "sorgenfrey4",
+    "diamond_space",
+    "skewed_unit",
+    "tailed_standard",
+]
+
+TINY = Fraction(1, 2**100)
+
+
+def axioms_by_extreal(space, sample_budget=200_000, seed=0):
+    """``check_axioms`` as one ExtReal compare per triple."""
+    pts = space.points
+    n = len(pts)
+    violations = []
+    for i in range(n):
+        d = space.dist_by_index(i, i)
+        if d != ZERO:
+            violations.append(AxiomViolation("self_distance", (pts[i],), f"d(x,x) = {d}"))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if space.dist_by_index(i, j) == ZERO and space.dist_by_index(j, i) == ZERO:
+                violations.append(
+                    AxiomViolation(
+                        "identity_of_indiscernibles",
+                        (pts[i], pts[j]),
+                        "d(x,y) = d(y,x) = 0 for distinct points",
+                    )
+                )
+
+    def triangle(i, j, k):
+        lhs = space.dist_by_index(i, k)
+        rhs = space.dist_by_index(i, j) + space.dist_by_index(j, k)
+        if lhs > rhs:
+            violations.append(
+                AxiomViolation(
+                    "triangle",
+                    (pts[i], pts[j], pts[k]),
+                    f"d(x,z) = {lhs} > {rhs} = d(x,y) + d(y,z)",
+                )
+            )
+
+    if n**3 <= sample_budget:
+        mode, used_seed, checked = "exhaustive", None, n**3
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    triangle(i, j, k)
+    else:
+        mode, used_seed, checked = "sampled", seed, sample_budget
+        rng = random.Random(seed)
+        for _ in range(sample_budget):
+            triangle(rng.randrange(n), rng.randrange(n), rng.randrange(n))
+    return AxiomReport(not violations, violations, mode, used_seed, sample_budget, checked)
+
+
+def raw_table(n, seed):
+    """A seeded n-point table that need not satisfy any axiom: inf entries,
+    non-dyadic values, sometimes a non-zero self-distance or a zero pair."""
+    rng = random.Random(seed)
+    values = [Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(5, 7), None]
+
+    def entry(i, j):
+        if i == j and rng.random() < 0.8:
+            return ZERO
+        v = rng.choice(values)
+        return INF if v is None else ExtReal(v)
+
+    table = [[entry(i, j) for j in range(n)] for i in range(n)]
+    if n > 1 and seed % 2:
+        table[0][1] = table[1][0] = ZERO
+    return FiniteTableSpace([f"q{i}" for i in range(n)], table)
+
+
+def assert_rows_match(space, radii):
+    balls = [ball(p, r) for p in space.points for r in radii]
+    for strict, relation in ((False, leq_dplus), (True, prec)):
+        got, rows, scaled = _ball_grid(space, radii, strict=strict)
+        assert got == balls
+        want = [
+            sum(1 << j for j, b in enumerate(balls) if relation(space, a, b)) for a in balls
+        ]
+        assert rows == want, (space, radii, strict)
+    for r, u in zip(radii, scaled):
+        for s, v in zip(radii, scaled):
+            assert (r < s, r == s) == (u < v, u == v)
+
+
+def grids(radii):
+    """The radius grid and its shifts by 1/3 and 3."""
+    return [radii] + [[r + a for r in radii] for a in (Fraction(1, 3), Fraction(3))]
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_kernel_rows_match_pairwise_on_fixtures(request, name):
+    space = request.getfixturevalue(name)
+    for radii in grids(dyadics(3)):
+        assert_rows_match(space, radii)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_rows_match_pairwise_on_random_tables(seed):
+    radii = [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(1, 2), Fraction(1), Fraction(5, 2)]
+    for space in (
+        random_table_space(5, seed),
+        random_table_space(4, seed, symmetric=True),
+        raw_table(5, seed),
+        raw_table(3, seed + 100),
+    ):
+        for grid in grids(radii):
+            assert_rows_match(space, grid)
+
+
+def test_kernel_rows_match_pairwise_on_tiny_skewed_gap():
+    space = SkewedIntervalSpace(1, ["0", str(TINY), "1/2", "1"])
+    for radii in grids([Fraction(0), TINY, 1 - TINY, Fraction(1, 2), Fraction(1)]):
+        assert_rows_match(space, radii)
+
+
+def test_kernel_on_an_empty_grid(metric_line4):
+    assert _ball_grid(metric_line4, []) == ([], [], [])
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_check_axioms_matches_extreal_loop_on_fixtures(request, name):
+    space = request.getfixturevalue(name)
+    assert check_axioms(space) == axioms_by_extreal(space)
+    sampled = check_axioms(space, sample_budget=20, seed=3)
+    assert sampled.mode == "sampled"
+    assert sampled == axioms_by_extreal(space, sample_budget=20, seed=3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_check_axioms_matches_extreal_loop_on_broken_tables(seed):
+    spaces = [
+        raw_table(1 + seed, seed),
+        raw_table(6, seed + 50),
+        random_table_space(5, seed),
+        SkewedIntervalSpace(Fraction(1, 2 + seed), [0, Fraction(1, 10), Fraction(1, 3), 1]),
+    ]
+    for space in spaces:
+        want = axioms_by_extreal(space)
+        assert check_axioms(space) == want
+        for budget in (1, 25, 500):
+            assert check_axioms(space, budget, seed) == axioms_by_extreal(space, budget, seed)
+    assert not check_axioms(spaces[1]).passed
+    assert any(v.axiom == "triangle" for v in check_axioms(spaces[3]).violations)
+
+
+def smyth_gaps_by_pairs(space, depth, sample_budget, seed):
+    """``smyth_probe``'s gap pairs, one ``prec`` and one rule call per pair."""
+    radii = [Fraction(j) for j in range(4)] + [Fraction(1, 2**k) for k in range(1, depth + 1)]
+    balls = [ball(p, r) for p in space.points for r in radii]
+    pairs = [(a, b) for a in balls for b in balls]
+    if len(pairs) > sample_budget:
+        rng = random.Random(seed)
+        pairs = [pairs[rng.randrange(len(pairs))] for _ in range(sample_budget)]
+    _, rule = way_below_oracle(space)
+    return [(a, b) for a, b in pairs if prec(space, a, b) and not rule(space, a, b)]
+
+
+@pytest.mark.parametrize("name", ["real_grid_inf", "sorgenfrey4", "metric_line4", "diamond_space"])
+def test_smyth_gaps_match_pairwise_route(request, name):
+    space = request.getfixturevalue(name)
+    for depth, budget, seed in ((2, 40_000, 0), (2, 50, 1), (1, 300, 7)):
+        report = smyth_probe(space, depth=depth, sample_budget=budget, seed=seed)
+        assert report.gap_pairs == smyth_gaps_by_pairs(space, depth, budget, seed)
+
+
+def radius_law_by_families(space, radii, sample_budget, seed):
+    """``radius_law_report`` from the whole list of tent families and one
+    ``leq_dplus`` call per pair."""
+    balls = [ball(p, r) for p in space.points for r in radii]
+    n = len(balls)
+    leq = [[leq_dplus(space, a, b) for b in balls] for a in balls]
+    families = [
+        (i, j, k)
+        for k in range(n)
+        for i in range(n) if leq[i][k]
+        for j in range(n) if leq[j][k]
+    ]
+    if len(families) > sample_budget:
+        rng = random.Random(seed)
+        families = [families[rng.randrange(len(families))] for _ in range(sample_budget)]
+    failures = []
+    for i, j, k in families:
+        ubs = [u for u in range(n) if leq[i][u] and leq[j][u] and leq[k][u]]
+        least = next((u for u in ubs if all(leq[u][v] for v in ubs)), None)
+        low = min(balls[i].radius, balls[j].radius, balls[k].radius)
+        if least is not None and balls[least].radius != low:
+            failures.append(((balls[i], balls[j], balls[k]), balls[least]))
+    return len(families), failures
+
+
+def test_radius_law_matches_family_list():
+    # zero pairs between distinct points give least upper bounds of a
+    # smaller radius, so some of these tables fail the law
+    radii = [Fraction(1), Fraction(0), Fraction(1, 3), Fraction(1)]
+    found = 0
+    for seed in range(6):
+        for space in (raw_table(3, seed), raw_table(4, seed), random_table_space(4, seed)):
+            for budget in (30, 100_000):
+                report = radius_law_report(space, radii, sample_budget=budget, seed=seed)
+                want = radius_law_by_families(space, radii, budget, seed)
+                assert (report.families_checked, report.failures) == want
+                found += len(report.failures)
+    assert found

@@ -23,9 +23,11 @@ from qmet.balls import (
 from qmet.errors import InvalidSup, NoOracle, QmetError
 from qmet.extreal import INF, ZERO, ExtReal
 from qmet.spaces import (
+    INF_POINT,
     FiniteTableSpace,
     RealGridSpace,
     SkewedIntervalSpace,
+    SorgenfreyGridSpace,
     parse_point_value,
 )
 
@@ -447,6 +449,49 @@ def test_standardness_verdicts_are_sound(fixture, request):
     assert "holds" in seen
     if isinstance(space, SkewedIntervalSpace):
         assert "refuted" in seen
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_finite_families_hold_where_order_laws_pass(seed):
+    """On a carrier whose ball order is a partial order, a finite directed
+    family holds its maximum, which is its sup, and <=+ is shift-invariant:
+    no finite probe can be refuted there."""
+    import random
+    from itertools import combinations
+
+    rng = random.Random(seed)
+    radii = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]
+    shifts = [Fraction(1, 3), Fraction(1), Fraction(2)]
+    values = sorted(rng.sample([Fraction(k, 4) for k in range(8)], 3))
+    candidates = [
+        random_table_space(3, seed),
+        random_table_space(3, seed, symmetric=True),
+        SorgenfreyGridSpace(values),
+        RealGridSpace(values[:2] + [INF_POINT]),
+        SkewedIntervalSpace(1, [0] + [v / 2 for v in values if v]),
+        SkewedIntervalSpace(Fraction(1, 2), [0, Fraction(1, 10), 1]),  # breaks the triangle
+    ]
+    probed = 0
+    for space in candidates:
+        if not order_laws_report(space, radii, shifts).passed:
+            continue
+        grid = [ball(p, r) for p in space.points for r in radii]
+        leq = {(a, b): leq_dplus(space, a, b) for a in grid for b in grid}
+        families = [
+            list(fam)
+            for size in (1, 2)
+            for fam in combinations(grid, size)
+            if all(any(leq[a, c] and leq[b, c] for c in fam) for a in fam for b in fam)
+        ]
+        for fam in families:
+            for sup in (u for u in grid if all(leq[m, u] for m in fam)):
+                try:
+                    verdicts = [standardness_probe(space, fam, sup, a) for a in shifts]
+                except InvalidSup:
+                    continue
+                probed += 1
+                assert all(v.is_holds for v in verdicts), (space, fam, sup)
+    assert probed > 100
 
 
 def test_witness_serialization_round_trip(tailed_standard):

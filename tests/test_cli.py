@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -388,3 +389,91 @@ def test_number_ball_literal_is_rejected(capsys, real_grid_file, tmp_path):
     path.write_text(json.dumps(witness))
     err = _rejected(capsys, "replay", str(path))
     assert err == "error: a ball literal must be a string, got int"
+
+
+# One child per hash seed runs every subcommand in-process and prints one
+# JSON line per run: its argv, exit code and stdout.
+_HASH_SEED_RUNNER = """
+import io, json, sys
+from contextlib import redirect_stdout
+from qmet.cli import main
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    print(json.dumps({"argv": argv, "exit": code, "stdout": buf.getvalue()}))
+"""
+
+
+def test_every_subcommand_ignores_hash_seed(
+    tmp_path, skew_bad, skew_probe, real_grid_file, line_file
+):
+    from qmet.balls import GeometricBallFamily, parse_ball, standardness_probe, way_below
+    from qmet.cli import build_parser
+    from qmet.spaces import load_space
+
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    grid = load_space(real_grid_file)
+    wb = way_below(grid, parse_ball("(inf, 2)"), parse_ball("(inf, 1)")).witness
+    wb_file = write("wb.json", dict(wb.to_json(), space=grid.to_json()))
+    skew_space, probe = skew_probe
+    skew = load_space(skew_space)
+    std = standardness_probe(skew, GeometricBallFamily(skew, 0), parse_ball("(0, 0)"), 1).witness
+    std_file = write("std.json", dict(std.to_json(), space=skew.to_json()))
+    diamond = write("diamond.json", {
+        "kind": "poset",
+        "elements": ["bot", "l", "r", "top"],
+        "leq": [
+            [True, True, True, True],
+            [False, True, False, True],
+            [False, False, True, True],
+            [False, False, False, True],
+        ],
+    })
+    prec = [[False] * 4 for _ in range(4)]
+    for i in range(3):
+        prec[i][3] = True
+    basis_bad = write(
+        "basis_bad.json", {"kind": "basis", "elements": ["p", "q", "r", "y"], "prec": prec}
+    )
+    basis = write("basis.json", {
+        "kind": "basis", "elements": ["a", "b", "c"],
+        "prec": [[True, True, True], [False, True, True], [False, False, False]],
+    })
+    func = write("f.json", {"values": {"0": "4", "1": "4", "2": "0", "3": "0"}})
+    runs = [
+        ["axioms", skew_bad], ["axioms", line_file, "--budget", "10"],
+        ["order", line_file, "--depth", "2"], ["order", skew_bad, "--depth", "2"],
+        ["wb", real_grid_file, "(inf, 2)", "(inf, 1)"],
+        ["wb", real_grid_file, "(0, 2)", "(1/2, 1)"],
+        ["standard", skew_space, probe],
+        ["centers", real_grid_file], ["smyth", real_grid_file], ["smyth", line_file],
+        ["envelope", line_file, func, "--alpha", "1"],
+        ["dist", line_file, "--open", "0,1"], ["thin", line_file, "--open", "0,1", "--r", "1"],
+        ["rideal", basis], ["rideal", basis_bad], ["idl", diamond],
+        ["qideal-model", diamond, "--depth", "3"], ["qideal-model", real_grid_file, "--depth", "3"],
+        ["choquet", diamond, "--exhaustive", "--depth", "3"],
+        ["choquet", diamond, "--depth", "3", "--seed", "2"],
+        ["export", diamond], ["replay", wb_file], ["replay", std_file],
+    ]
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert {argv[0] for argv in runs} == set(subparsers.choices)
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_RUNNER, json.dumps(runs)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
+    results = records(outs[0].decode())
+    assert [r["argv"] for r in results] == runs
+    assert all(r["exit"] in (0, 1) for r in results), results

@@ -16,12 +16,12 @@ from qmet.lipschitz import (
     hat_membership,
     lipschitz_check,
     lipschitz_threshold,
-    scott_open_thresholds_bruteforce,
     thinning,
 )
 from qmet.spaces import FiniteTableSpace
 
 from conftest import dyadics
+from threshold_enumeration import scott_open_thresholds_bruteforce
 
 
 def all_opens(space):

@@ -23,7 +23,6 @@ from qmet.posets import (
     rounded_ideal_completion,
     rounded_ideals_by_generators,
     verify_all_plays,
-    way_below_by_enumeration,
     way_below_finite,
 )
 
@@ -32,6 +31,7 @@ from subset_enumeration import (
     legal_beta_moves_by_enumeration,
     rounded_ideal_completion_by_enumeration,
     up_sets_by_enumeration,
+    way_below_by_enumeration,
 )
 
 
