@@ -38,7 +38,7 @@ from itertools import accumulate
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from .errors import BadInput, InvalidSup, NoOracle, QmetError, expect_object
+from .errors import BadInput, InvalidSup, NoOracle, QmetError, expect_list, expect_object
 from .extreal import INF, ExtReal, as_fraction, monus
 from .posets import _bits
 from .spaces import (
@@ -76,6 +76,12 @@ def ball(center: str, radius) -> FormalBall:
     return FormalBall(center, r)
 
 
+def _members_from_json(members) -> list:
+    """A witness's materialized family: (center, radius) pairs."""
+    pairs = [expect_list(m, "a family member", 2) for m in expect_list(members, "members")]
+    return [(c, as_fraction(r)) for c, r in pairs]
+
+
 def parse_ball(text: str) -> FormalBall:
     """Parse the literal form "(point, p/q)"."""
     if not isinstance(text, str):
@@ -87,7 +93,7 @@ def parse_ball(text: str) -> FormalBall:
         center, radius = body.rsplit(",", 1)
     except ValueError:
         raise QmetError(f"malformed ball literal {text!r}") from None
-    return ball(center.strip(), Fraction(radius.strip()))
+    return ball(center.strip(), radius.strip())
 
 
 def leq_dplus(space: Space, b1: FormalBall, b2: FormalBall) -> bool:
@@ -186,14 +192,13 @@ class WayBelowWitness:
     @classmethod
     def from_json(cls, obj: dict) -> "WayBelowWitness":
         fam = expect_object(expect_object(obj, "a witness")["family"], "a family")
-        lower = parse_ball(obj["claim"][0])
-        upper = parse_ball(obj["claim"][1])
+        lower, upper = (parse_ball(b) for b in expect_list(obj["claim"], "a claim", 2))
         return cls(
             fam["kind"],
             fam["limit_center"],
             as_fraction(fam["t"]),
             fam["n0"],
-            [(c, as_fraction(r)) for c, r in fam["members"]],
+            _members_from_json(fam["members"]),
             lower,
             upper,
         )
@@ -430,7 +435,13 @@ def smyth_probe(
     center point, and no gap between strict approximation and way-below."""
     if way_below_oracle(space) is None:
         raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
-    non_centers = [x for x in space.points if not center_point_check(space, x)]
+    # v and d differ only at v(x, x) = inf for x in non_center_points, so
+    # these are the non-center points wherever d(x, x) is finite;
+    # center_point_check is the pairwise reference
+    non_centers = [
+        x for i, x in enumerate(space.points)
+        if x in space.non_center_points and space.dist_by_index(i, i).is_finite
+    ]
     radii = [Fraction(j) for j in range(4)] + [_dyadic(k) for k in range(1, depth + 1)]
     balls, strict, _ = _ball_grid(space, radii, strict=True)
     m, nb = len(radii), len(balls)
@@ -600,7 +611,7 @@ class StandardnessWitness:
             as_fraction(obj["shift"]),
             parse_ball(obj["candidate"]),
             parse_ball(obj["target"]),
-            [(c, as_fraction(r)) for c, r in obj["members"]],
+            _members_from_json(obj["members"]),
         )
 
     def replay(self, space: Space) -> bool:

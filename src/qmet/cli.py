@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import balls, lipschitz, posets, qideal, spaces
-from .errors import NotAnAbstractBasis, QmetError, expect_object
+from .errors import NotAnAbstractBasis, QmetError, expect_list, expect_object
 from .extreal import as_fraction
 
 
@@ -84,7 +84,7 @@ def cmd_axioms(args, out: Emitter) -> int:
 def cmd_order(args, out: Emitter) -> int:
     space = _load_space(args.space)
     radii = [Fraction(0)] + [Fraction(1, 2**k) for k in range(args.depth + 1)]
-    shifts = [Fraction(s) for s in args.shift] if args.shift else [
+    shifts = [as_fraction(s) for s in args.shift] if args.shift else [
         Fraction(1, 4),
         Fraction(1),
         Fraction(3),
@@ -140,7 +140,7 @@ def cmd_standard(args, out: Emitter) -> int:
     if fam.get("kind") == "geometric":
         family = balls.GeometricBallFamily(space, fam.get("s", "0"))
     else:
-        family = [balls.parse_ball(b) for b in fam["members"]]
+        family = [balls.parse_ball(b) for b in expect_list(fam["members"], "probe members")]
     sup = balls.parse_ball(probe["sup"])
     shift = as_fraction(probe["shift"])
     verdict = balls.standardness_probe(space, family, sup, shift)
@@ -188,7 +188,7 @@ def cmd_smyth(args, out: Emitter) -> int:
 def cmd_envelope(args, out: Emitter) -> int:
     space = _load_space(args.space)
     f = lipschitz.LscFunction.from_json(space, _load_json(args.function))
-    alpha = Fraction(args.alpha)
+    alpha = as_fraction(args.alpha)
     g = lipschitz.envelope(space, f, alpha)
     for p in space.points:
         out.emit({"record": "value", "point": p, "f": str(f(p)), "envelope": str(g(p))})
@@ -208,7 +208,7 @@ def cmd_dist(args, out: Emitter) -> int:
 def cmd_thin(args, out: Emitter) -> int:
     space = _load_space(args.space)
     u = lipschitz.OpenSet(space, _parse_points(args.open))
-    thinned = lipschitz.thinning(space, u, Fraction(args.r))
+    thinned = lipschitz.thinning(space, u, as_fraction(args.r))
     out.emit({"record": "thinning", "r": args.r, "members": list(thinned)})
     return _summary(out, "thin", "pass", 0)
 
@@ -245,7 +245,7 @@ def cmd_idl(args, out: Emitter) -> int:
 
 def cmd_qideal_model(args, out: Emitter) -> int:
     space = _load_space(args.space)
-    model = qideal.build_model(space, depth=args.depth, factor=Fraction(args.factor))
+    model = qideal.build_model(space, depth=args.depth, factor=as_fraction(args.factor))
     report = qideal.quasi_ideal_model_check(model)
     out.emit(
         {

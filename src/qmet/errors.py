@@ -1,4 +1,7 @@
-"""Exception family shared across the library."""
+"""Exception family shared across the library, and the shape checks that
+turn a malformed JSON document into one of them."""
+
+from typing import Optional
 
 
 class QmetError(Exception):
@@ -15,6 +18,34 @@ def expect_object(obj, what: str) -> dict:
     if not isinstance(obj, dict):
         raise BadInput(f"{what} must be a JSON object, got {type(obj).__name__}")
     return obj
+
+
+def expect_list(obj, what: str, length: Optional[int] = None) -> list:
+    """The decoded JSON value, once it is known to be an array (of the
+    given length)."""
+    if not isinstance(obj, (list, tuple)):
+        raise BadInput(f"{what} must be a JSON array, got {type(obj).__name__}")
+    if length is not None and len(obj) != length:
+        raise BadInput(f"{what} must have {length} entries, got {len(obj)}")
+    return obj
+
+
+def expect_names(obj, what: str) -> list:
+    """A JSON array of names: strings or other scalars, never an array or
+    an object, which cannot name a point."""
+    for name in expect_list(obj, what):
+        if isinstance(name, (list, tuple, dict)):
+            raise BadInput(f"{what} must be names, got a {type(name).__name__}")
+    return obj
+
+
+def is_square(rows, n: int) -> bool:
+    """rows is an n-by-n matrix: an array of n arrays of n entries each."""
+    return (
+        isinstance(rows, (list, tuple))
+        and len(rows) == n
+        and all(isinstance(row, (list, tuple)) and len(row) == n for row in rows)
+    )
 
 
 class IndeterminateForm(QmetError):

@@ -11,7 +11,8 @@ Text form: ``"p/q"`` with the denominator omitted when it is 1, or ``"inf"``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Optional, Sequence, Union
 
 from .errors import BadInput, IndeterminateForm
 
@@ -23,7 +24,8 @@ GREATER = 1
 
 
 def as_fraction(value: RationalLike) -> Fraction:
-    """Coerce to an exact Fraction, rejecting floats outright."""
+    """Coerce to an exact Fraction, rejecting floats and zero denominators
+    outright."""
     if isinstance(value, bool) or isinstance(value, float):
         raise BadInput(f"exact rational required, got {type(value).__name__}")
     if isinstance(value, Fraction):
@@ -31,7 +33,10 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise BadInput(f"zero denominator in {value!r}") from None
     raise BadInput(f"cannot interpret {value!r} as a rational")
 
 
@@ -156,6 +161,15 @@ def ext(value) -> ExtReal:
     if isinstance(value, str):
         return ExtReal.parse(value)
     return ExtReal(value)
+
+
+def int_scale(values: Sequence[ExtReal]) -> tuple[int, list[Optional[int]]]:
+    """(D, ints): D is the lcm of the denominators of the finite values, and
+    ints[k] is values[k] * D as an int, None for inf.  Compares and sums of
+    values brought to one such scale are exact int operations."""
+    fracs = [v._frac for v in values]
+    den = lcm(*(f.denominator for f in fracs if f is not None))
+    return den, [None if f is None else f.numerator * (den // f.denominator) for f in fracs]
 
 
 def compare(a, b) -> int:

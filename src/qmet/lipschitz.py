@@ -6,17 +6,26 @@ subsets that are upward closed for the specialization order, and the largest
 Scott-open family of balls whose radius-zero slice stays inside an open U is
 cut out by the closed-ball test: (x, r) belongs to it iff every point within
 distance r of x lies in U.  Everything here is exact rational arithmetic.
+
+The pair loops (``hat_membership``, ``dist_to_complement``,
+``lipschitz_check`` and ``envelope``) read the space's integer view
+(``Space._int_view``): distances, function values, the slope and the lift
+radii are brought to one common denominator, every compare is an int
+compare, and ExtReals are built only for the results.  The ExtReal loops
+they replace are kept in ``tests/lipschitz_reference.py`` as the reference
+route.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional, Union
 
 from .balls import FormalBall
 from .errors import QmetError, UnknownPoint, expect_object
-from .extreal import INF, ZERO, ExtReal, as_fraction, ext
+from .extreal import INF, ZERO, ExtReal, as_fraction, ext, int_scale
 from .spaces import Space
 
 
@@ -70,11 +79,14 @@ def hat_membership(space: Space, b: FormalBall, u: OpenSet) -> bool:
     radius-zero slice stays inside u: the closed r-ball around the center
     must be contained in u."""
     i = space.index(b.center)
-    for j, y in enumerate(space.points):
-        d = space.dist_by_index(i, j)
-        if d.is_finite and d.as_fraction() <= b.radius and y not in u:
-            return False
-    return True
+    den, rows = space._int_view()
+    r = as_fraction(b.radius)
+    # d <= r on the int view: d * r.denominator <= r.numerator * den
+    bound = r.numerator * den
+    return all(
+        d is None or d * r.denominator > bound or y in u
+        for y, d in zip(space.points, rows[i])
+    )
 
 
 def thinning(space: Space, u: OpenSet, r) -> OpenSet:
@@ -93,14 +105,15 @@ def dist_to_complement(space: Space, x: str, u: OpenSet) -> ExtReal:
 
     On a finite carrier this is both the minimum distance into the
     complement and the supremum of radii r with (x, r) still in the hat of
-    u; zero exactly when x is outside u.
+    u; zero exactly when x is outside u.  The least entry is found on the
+    int view and returned from the table.
     """
     i = space.index(x)
-    best = INF
-    for j, y in enumerate(space.points):
-        if y not in u:
-            best = min(best, space.dist_by_index(i, j))
-    return best
+    row = space._int_view()[1][i]
+    outside = [j for j, y in enumerate(space.points) if y not in u and row[j] is not None]
+    if not outside:
+        return INF
+    return space.dist_by_index(i, min(outside, key=row.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +210,28 @@ class LipschitzReport:
         return self.passed == self.lift_monotone
 
 
+def _value_gaps(space: Space, f: Union[LscFunction, dict], codomain: Optional[Space]) -> tuple:
+    """(E, gaps): gaps[i][j] is the value gap from the i-th to the j-th
+    point times E, as an int, None for inf.  For an ``LscFunction`` it is
+    ``extended_value_dist`` of the values; for a mapping into a codomain
+    space, the codomain's distance between the images."""
+    if isinstance(f, LscFunction):
+        den, v = int_scale([f(x) for x in space.points])
+        # how far a sits above b: 0 when b is inf, inf when only a is
+        return den, [
+            [0 if b is None else None if a is None else max(a - b, 0) for b in v] for a in v
+        ]
+    if codomain is None:
+        raise QmetError("a mapping given as a dict needs a codomain space")
+    images = []
+    for p in space.points:
+        if p not in f:
+            raise QmetError(f"mapping missing value at {p}")
+        images.append(codomain.index(f[p]))
+    den, rows = codomain._int_view()
+    return den, [[rows[a][b] for b in images] for a in images]
+
+
 def lipschitz_check(
     space: Space,
     f: Union[LscFunction, dict],
@@ -212,47 +247,51 @@ def lipschitz_check(
     radii (0, 1/2, 1, 2) the differences are 0, 1/2, 1, 3/2 and 2: a slope
     violation at distance 1/4 can pass the lift, and pairs more than 2 apart
     are never tested.
+
+    One pass over the pairs decides both tests: the value gap and d(x, y)
+    are ints over one common denominator with the lift radii, and
+    alpha = p/q enters as gap * q against p * d (or p * (r - s)), with
+    0 * inf = 0.  ``tests/lipschitz_reference.py`` holds the ExtReal route.
     """
     alpha = as_fraction(alpha)
     if alpha < 0:
         raise QmetError("alpha must be non-negative")
-
-    if isinstance(f, LscFunction):
-        def value_dist(x, y):
-            return extended_value_dist(f(x), f(y))
-    else:
-        if codomain is None:
-            raise QmetError("a mapping given as a dict needs a codomain space")
-        for p in space.points:
-            if p not in f:
-                raise QmetError(f"mapping missing value at {p}")
-            codomain.index(f[p])
-
-        def value_dist(x, y):
-            return codomain.dist(f[x], f[y])
+    gden, gaps = _value_gaps(space, f, codomain)
+    den, rows = space._int_view()
+    scale = lcm(den, gden, *(r.denominator for r in LIFT_RADII))
+    dmul, gmul = scale // den, scale // gden
+    p, q = alpha.numerator, alpha.denominator
+    # (r, s, r - s, alpha * (r - s)) over the grid pairs r >= s, the last
+    # two at the common scale, the last also times q
+    grid = []
+    for r in LIFT_RADII:
+        for s in LIFT_RADII:
+            if r >= s:
+                rs = (r - s).numerator * (scale // (r - s).denominator)
+                grid.append((r, s, rs, p * rs))
 
     violations = []
-    for x in space.points:
-        for y in space.points:
-            lhs = value_dist(x, y)
-            rhs = alpha * space.dist(x, y)
-            if not lhs <= rhs:
-                violations.append((x, y, lhs, rhs))
-
     lift_violations = []
-    for x in space.points:
-        for y in space.points:
-            d = space.dist(x, y)
-            for r in LIFT_RADII:
-                for s in LIFT_RADII:
-                    if r < s or d.is_infinite or d.as_fraction() > r - s:
-                        continue
-                    # (x, r) <= (y, s); the lift must preserve it
-                    gap = value_dist(x, y)
-                    if not (gap.is_finite and gap.as_fraction() <= alpha * (r - s)):
-                        lift_violations.append(
-                            (FormalBall(x, r), FormalBall(y, s))
-                        )
+    pts = space.points
+    for i, (x, drow, grow) in enumerate(zip(pts, rows, gaps)):
+        for j, (y, d, g) in enumerate(zip(pts, drow, grow)):
+            if g == 0:
+                continue  # a zero gap passes both tests
+            gq = None if g is None else g * gmul * q
+            if d is None:
+                slope_broken = p == 0  # alpha * inf is 0 at alpha = 0, inf above
+            else:
+                d *= dmul
+                slope_broken = gq is None or gq > p * d
+            if slope_broken:
+                lhs = INF if g is None else ExtReal(Fraction(g, gden))
+                violations.append((x, y, lhs, alpha * space.dist_by_index(i, j)))
+            if d is None:
+                continue  # no grid pair spans an infinite distance
+            for r, s, rs, bound in grid:
+                # (x, r) <= (y, s); the lift must preserve it
+                if d <= rs and (gq is None or gq > bound):
+                    lift_violations.append((FormalBall(x, r), FormalBall(y, s)))
     return LipschitzReport(alpha, violations, lift_violations)
 
 
@@ -266,18 +305,29 @@ def envelope(space: Space, f: LscFunction, alpha) -> LscFunction:
 
     With slope zero the product convention 0 * inf = 0 collapses this to the
     constant minimum of f.
+
+    With alpha = p/q and f and d over one common denominator L, each term
+    times L * q is the int f(y) * L * q + p * d(x, y) * L; a term is inf
+    where f(y) is, or where d(x, y) is and alpha is not 0.  One Fraction is
+    made per point; ``tests/lipschitz_reference.py`` holds the ExtReal route.
     """
     alpha = as_fraction(alpha)
     if alpha < 0:
         raise QmetError("alpha must be non-negative")
+    fden, fv = int_scale([f(y) for y in space.points])
+    den, rows = space._int_view()
+    scale = lcm(den, fden)
+    p, q = alpha.numerator, alpha.denominator
+    fmul, pmul = scale // fden * q, scale // den * p
+    fq = [None if v is None else v * fmul for v in fv]
     values = {}
-    for x in space.points:
-        i = space.index(x)
-        best = None
-        for j, y in enumerate(space.points):
-            term = f(y) + alpha * space.dist_by_index(i, j)
-            best = term if best is None else min(best, term)
-        values[x] = best
+    for x, row in zip(space.points, rows):
+        terms = [
+            v if d is None else v + d * pmul
+            for v, d in zip(fq, row)
+            if v is not None and (d is not None or p == 0)
+        ]
+        values[x] = ExtReal(Fraction(min(terms), scale * q)) if terms else INF
     return LscFunction(space, values)
 
 

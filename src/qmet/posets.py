@@ -25,7 +25,9 @@ from .errors import (
     NotAnAbstractBasis,
     QmetError,
     UnknownElement,
+    expect_names,
     expect_object,
+    is_square,
 )
 
 
@@ -65,7 +67,7 @@ class FinitePoset:
         if len(set(self._elements)) != len(self._elements):
             raise NotAPartialOrder("duplicate element names")
         n = len(self._elements)
-        if len(leq) != n or any(len(row) != n for row in leq):
+        if not is_square(leq, n):
             raise NotAPartialOrder("relation matrix shape mismatch")
         self._up = [_mask_of(j for j in range(n) if leq[i][j]) for i in range(n)]
         self._index = {e: i for i, e in enumerate(self._elements)}
@@ -203,7 +205,7 @@ class FinitePoset:
     def from_json(cls, obj: dict) -> "FinitePoset":
         if expect_object(obj, "a poset").get("kind") != "poset":
             raise NotAPartialOrder(f"unexpected kind {obj.get('kind')!r}")
-        return cls(obj["elements"], obj["leq"])
+        return cls(expect_names(obj["elements"], "elements"), obj["leq"])
 
     def __eq__(self, other):
         return (
@@ -238,7 +240,7 @@ def _inclusion_completion(
     """The distinct sets among masks, ordered by size and then by member
     indices, their inclusion poset, and the completion name of each mask."""
     masks = sorted(set(masks), key=lambda m: (m.bit_count(), list(_bits(m))))
-    names = {m: "{" + ",".join(elements[i] for i in _bits(m)) + "}" for m in masks}
+    names = {m: "{" + ",".join(str(elements[i]) for i in _bits(m)) + "}" for m in masks}
     matrix = [[not a & ~b for b in masks] for a in masks]
     ideals = [frozenset(elements[i] for i in _bits(m)) for m in masks]
     return FinitePoset(list(names.values()), matrix), ideals, names
@@ -275,7 +277,7 @@ class AbstractBasis:
         if len(set(self._elements)) != len(self._elements):
             raise QmetError("duplicate element names")
         n = len(self._elements)
-        if len(prec) != n or any(len(row) != n for row in prec):
+        if not is_square(prec, n):
             raise QmetError("relation matrix shape mismatch")
         self._below = [
             _mask_of(i for i in range(n) if prec[i][j]) for j in range(n)
@@ -343,7 +345,7 @@ class AbstractBasis:
     def from_json(cls, obj: dict) -> "AbstractBasis":
         if expect_object(obj, "a basis").get("kind") != "basis":
             raise QmetError(f"unexpected kind {obj.get('kind')!r}")
-        return cls(obj["elements"], obj["prec"])
+        return cls(expect_names(obj["elements"], "elements"), obj["prec"])
 
 
 @dataclass

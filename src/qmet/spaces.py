@@ -15,12 +15,11 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import sub
 from typing import Optional, Sequence
 
-from .errors import QmetError, UnknownPoint, expect_object
-from .extreal import INF, ZERO, ExtReal, as_fraction, ext
+from .errors import QmetError, UnknownPoint, expect_list, expect_names, expect_object, is_square
+from .extreal import INF, ZERO, ExtReal, as_fraction, ext, int_scale
 from .posets import FinitePoset
 
 
@@ -122,15 +121,13 @@ class Space:
     def _int_view(self) -> tuple[int, list]:
         """(D, rows): D is the lcm of the denominators of the finite
         entries, and rows[i][j] is d(i, j) * D as an int, None for inf.
-        Built once per space; the ball-grid kernel and the axiom check
-        compare these exact ints instead of ExtReals."""
+        Built once per space; the ball-grid kernel, the axiom check and the
+        pair loops of ``qmet.lipschitz`` compare these exact ints instead of
+        ExtReals."""
         if self._ints is None:
-            fracs = [[v.as_fraction() if v.is_finite else None for v in row] for row in self._table]
-            den = lcm(*(f.denominator for row in fracs for f in row if f is not None))
-            self._ints = (den, [
-                [None if f is None else f.numerator * (den // f.denominator) for f in row]
-                for row in fracs
-            ])
+            n = len(self._table)
+            den, flat = int_scale([v for row in self._table for v in row])
+            self._ints = (den, [flat[i * n:(i + 1) * n] for i in range(n)])
         return self._ints
 
     def specialization_leq(self, x: str, y: str) -> bool:
@@ -150,7 +147,7 @@ class FiniteTableSpace(Space):
     def __init__(self, points: Sequence[str], table: Sequence[Sequence[ExtReal]]):
         super().__init__(points)
         n = len(self._points)
-        if len(table) != n or any(len(row) != n for row in table):
+        if not is_square(table, n):
             raise QmetError("distance table shape mismatch")
         self._table = [[ext(v) for v in row] for row in table]
         self._symmetric: Optional[bool] = None
@@ -500,17 +497,19 @@ def symmetrize(space: Space) -> FiniteTableSpace:
 def space_from_json(obj: dict) -> Space:
     kind = expect_object(obj, "a space").get("kind")
     if kind == "finite_table":
-        return FiniteTableSpace(obj["points"], obj["dist"])
+        return FiniteTableSpace(expect_names(obj["points"], "points"), obj["dist"])
     if kind == "real_grid":
-        return RealGridSpace([parse_point_value(v) for v in obj["values"]])
+        return RealGridSpace([parse_point_value(v) for v in expect_list(obj["values"], "values")])
     if kind == "sorgenfrey_grid":
-        return SorgenfreyGridSpace(obj["values"])
+        return SorgenfreyGridSpace(expect_list(obj["values"], "values"))
     if kind in ("poset", "Poset"):
-        return PosetSpace(FinitePoset(obj["elements"], obj["leq"]))
+        return PosetSpace(FinitePoset(expect_names(obj["elements"], "elements"), obj["leq"]))
     if kind == "skewed_interval":
-        return SkewedIntervalSpace(obj["a"], obj["values"])
+        return SkewedIntervalSpace(obj["a"], expect_list(obj["values"], "values"))
     if kind == "tailed_sorgenfrey":
-        return TailedSorgenfreySpace(obj["a"], obj["b"], obj["c"], obj["values"])
+        return TailedSorgenfreySpace(
+            obj["a"], obj["b"], obj["c"], expect_list(obj["values"], "values")
+        )
     raise QmetError(f"unknown space kind {kind!r}")
 
 

@@ -10,6 +10,7 @@ import pytest
 from qmet.balls import (
     _ball_grid,
     ball,
+    center_point_check,
     leq_dplus,
     prec,
     radius_law_report,
@@ -21,8 +22,11 @@ from qmet.spaces import (
     AxiomReport,
     AxiomViolation,
     FiniteTableSpace,
+    RealGridSpace,
     SkewedIntervalSpace,
+    SorgenfreyGridSpace,
     check_axioms,
+    parse_point_value,
 )
 
 from conftest import dyadics, random_table_space
@@ -198,6 +202,50 @@ def test_smyth_gaps_match_pairwise_route(request, name):
     for depth, budget, seed in ((2, 40_000, 0), (2, 50, 1), (1, 300, 7)):
         report = smyth_probe(space, depth=depth, sample_budget=budget, seed=seed)
         assert report.gap_pairs == smyth_gaps_by_pairs(space, depth, budget, seed)
+
+
+class RuledTable(FiniteTableSpace):
+    """A table that claims the metric rule and names non-center points,
+    whatever its entries: the one place d(x, x) can be inf at one."""
+
+    way_below_rule = "metric_strict_approximation"
+
+    def __init__(self, points, table, non_centers):
+        super().__init__(points, table)
+        self.non_center_points = frozenset(non_centers)
+
+
+def seeded_ruled_spaces(seed):
+    rng = random.Random(seed)
+    values = sorted({Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(5)})
+    table = raw_table(5, seed)
+    return [
+        RealGridSpace(values + [parse_point_value("inf")]),
+        RealGridSpace(values),
+        SorgenfreyGridSpace(values),
+        random_table_space(4, seed, symmetric=True),
+        RuledTable(
+            table.points,
+            [[table.dist_by_index(i, j) for j in range(5)] for i in range(5)],
+            rng.sample(table.points, 3),
+        ),
+    ]
+
+
+def test_smyth_non_centers_match_center_point_check(request):
+    spaces = [request.getfixturevalue(name) for name in FIXTURES]
+    spaces += [space for seed in range(12) for space in seeded_ruled_spaces(seed)]
+    listed = inf_self = 0
+    for space in spaces:
+        if way_below_oracle(space) is None:
+            continue
+        want = [x for x in space.points if not center_point_check(space, x)]
+        assert smyth_probe(space, depth=1).non_center_points == want
+        listed += len(want)
+        inf_self += sum(
+            space.dist(x, x).is_infinite for x in space.non_center_points
+        )
+    assert listed and inf_self
 
 
 def radius_law_by_families(space, radii, sample_budget, seed):

@@ -477,3 +477,40 @@ def test_every_subcommand_ignores_hash_seed(
     results = records(outs[0].decode())
     assert [r["argv"] for r in results] == runs
     assert all(r["exit"] in (0, 1) for r in results), results
+
+
+# Every entry point that reads a rational literal, with the literal 1/0.
+ZERO_DENOMINATOR_ARGV = {
+    "thin_radius": lambda f: ["thin", f["line"], "--open", "0,1", "--r", "1/0"],
+    "envelope_alpha": lambda f: ["envelope", f["line"], f["func"], "--alpha", "1/0"],
+    "order_shift": lambda f: ["order", f["line"], "--shift", "1/0"],
+    "qideal_factor": lambda f: ["qideal-model", f["grid"], "--factor", "1/0"],
+    "wb_ball_radius": lambda f: ["wb", f["grid"], "(0, 1/0)", "(1/2, 1)"],
+    "real_grid_value": lambda f: ["axioms", f["grid_zero"]],
+    "table_entry": lambda f: ["axioms", f["table_zero"]],
+    "function_value": lambda f: ["envelope", f["line"], f["func_zero"], "--alpha", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_DENOMINATOR_ARGV))
+def test_zero_denominator_is_rejected(capsys, tmp_path, line_file, real_grid_file, case):
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    files = {
+        "line": line_file,
+        "grid": real_grid_file,
+        "func": write("f.json", {"values": {"0": "1", "1": "0", "2": "2", "3": "inf"}}),
+        "func_zero": write("f0.json", {"values": {"0": "1", "1": "1/0", "2": "2", "3": "0"}}),
+        "grid_zero": write("g0.json", {"kind": "real_grid", "values": ["0", "1/0", "1"]}),
+        "table_zero": write(
+            "t0.json",
+            {"kind": "finite_table", "points": ["a", "b"], "dist": [["0", "1/0"], ["1", "0"]]},
+        ),
+    }
+    code = main(ZERO_DENOMINATOR_ARGV[case](files))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.splitlines() == ["error: zero denominator in '1/0'"]

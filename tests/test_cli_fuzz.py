@@ -1,0 +1,257 @@
+"""Fuzz the exit-code contract of every ``qm`` subcommand: swap one literal
+of a valid run (a flag or argument, or any value inside one of its JSON
+input files) for a hostile value, and require exit 0, 1 or 2, no traceback,
+and exit 1 only together with the record that shows the failure."""
+
+import argparse
+import io
+import json
+import string
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qmet.balls import GeometricBallFamily, parse_ball, standardness_probe, way_below
+from qmet.cli import build_parser, main
+from qmet.spaces import space_from_json
+
+LINE = {
+    "kind": "finite_table",
+    "points": ["0", "1", "2", "3"],
+    "dist": [[str(abs(a - b)) for b in range(4)] for a in range(4)],
+}
+GRID = {"kind": "real_grid", "values": ["0", "1/2", "1", "inf"]}
+SKEW = {"kind": "skewed_interval", "a": "1", "values": ["0", "1/3", "1"]}
+SKEW_BAD = {"kind": "skewed_interval", "a": "1/2", "values": ["0", "1/10", "1"]}
+DIAMOND = {
+    "kind": "poset",
+    "elements": ["bot", "l", "r", "top"],
+    "leq": [
+        [True, True, True, True],
+        [False, True, False, True],
+        [False, False, True, True],
+        [False, False, False, True],
+    ],
+}
+BASIS = {
+    "kind": "basis",
+    "elements": ["a", "b", "c"],
+    "prec": [[True, True, True], [False, True, True], [False, False, False]],
+}
+
+
+def _witness_docs():
+    grid = space_from_json(GRID)
+    wb = way_below(grid, parse_ball("(inf, 2)"), parse_ball("(inf, 1)")).witness
+    skew = space_from_json(SKEW)
+    family = GeometricBallFamily(skew, 0)
+    std = standardness_probe(skew, family, parse_ball("(0, 0)"), 1).witness
+    return (
+        dict(wb.to_json(), space=grid.to_json()),
+        dict(std.to_json(), space=skew.to_json()),
+    )
+
+
+WB_WITNESS, STD_WITNESS = _witness_docs()
+
+DOCS = {
+    "line": LINE,
+    "grid": GRID,
+    "skew": SKEW,
+    "skew_bad": SKEW_BAD,
+    "diamond": DIAMOND,
+    "basis": BASIS,
+    "geometric": {"family": {"kind": "geometric", "s": "0"}, "sup": "(0, 0)", "shift": "1"},
+    "chain": {
+        "family": {"kind": "finite", "members": ["(0, 3)", "(1, 2)"]},
+        "sup": "(1, 2)",
+        "shift": "1/2",
+    },
+    "func": {"values": {"0": "4", "1": "1/2", "2": "0", "3": "inf"}},
+    "wb_witness": WB_WITNESS,
+    "std_witness": STD_WITNESS,
+}
+
+# Valid runs of every subcommand; "@name" stands for the file of DOCS[name].
+RUNS = [
+    ["axioms", "@skew_bad"],
+    ["axioms", "@line", "--budget", "10", "--seed", "3"],
+    ["order", "@line", "--depth", "2", "--shift", "1/3"],
+    ["order", "@skew_bad", "--depth", "2"],
+    ["wb", "@grid", "(inf, 2)", "(inf, 1)"],
+    ["wb", "@line", "(0, 2)", "(1, 1/2)", "--depth", "3"],
+    ["standard", "@skew", "@geometric"],
+    ["standard", "@line", "@chain"],
+    ["centers", "@grid"],
+    ["smyth", "@grid", "--depth", "2", "--budget", "50", "--seed", "1"],
+    ["envelope", "@line", "@func", "--alpha", "1/2"],
+    ["dist", "@line", "--open", "0,1", "--point", "2"],
+    ["thin", "@line", "--open", "0,1", "--r", "1"],
+    ["rideal", "@basis"],
+    ["idl", "@diamond"],
+    ["qideal-model", "@diamond", "--depth", "2", "--factor", "3"],
+    ["qideal-model", "@grid", "--depth", "2"],
+    ["choquet", "@diamond", "--exhaustive", "--depth", "2"],
+    ["choquet", "@diamond", "--depth", "3", "--seed", "2"],
+    ["export", "@diamond"],
+    ["replay", "@wb_witness"],
+    ["replay", "@std_witness"],
+]
+
+# The records that show why a command failed, where one of them must.
+FAILURE_RECORDS = {
+    "axioms": {"axiom_violation"},
+    "order": {"order_violation", "radius_law_violation"},
+    "wb": {"witness"},
+    "standard": {"witness"},
+    "smyth": {"non_center", "approximation_gap"},
+    "rideal": {"basis_violation"},
+}
+MODEL_FLAGS = ("layering", "limit_layer_isomorphic", "quasi_ideal", "halving")
+
+HOSTILE = st.one_of(
+    st.sampled_from(["1/0", "-1", "0.5", 1.5, None, [], "", "inf"]),
+    # no digits, so no swapped depth or budget can ask for a huge run
+    st.text(alphabet=string.ascii_letters + " ,()/-", max_size=10),
+)
+
+
+def _paths(node, at=()):
+    """The path of every value below the root of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield at + (key,)
+        if isinstance(child, (dict, list)) and child:
+            yield from _paths(child, at + (key,))
+
+
+def _swapped(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _targets(run):
+    """(argv position, None) or (file name, path in its document)."""
+    out = [(k, None) for k in range(1, len(run)) if not run[k].startswith("@")]
+    for arg in run[1:]:
+        if arg.startswith("@"):
+            out += [(arg[1:], path) for path in _paths(DOCS[arg[1:]])]
+    return out
+
+
+def _failure_shown(command, recs) -> bool:
+    summary = recs[-1]
+    if summary.get("record") != "summary" or summary.get("exit") != 1:
+        return False
+    kinds = {r["record"] for r in recs}
+    if command in FAILURE_RECORDS:
+        return bool(kinds & FAILURE_RECORDS[command])
+    if command == "qideal-model":
+        check = next(r for r in recs if r["record"] == "model_check")
+        chain_ok = check["longest_finite_chain"] <= check["chain_bound"]
+        return not (chain_ok and all(check[flag] for flag in MODEL_FLAGS))
+    if command == "choquet":
+        verdict = next(r for r in recs if r["record"] in ("choquet_sweep", "play_verdict"))
+        return not all(v for v in verdict.values() if isinstance(v, bool))
+    if command == "replay":
+        return summary["verdict"] == "refuted"
+    return False
+
+
+def test_runs_cover_every_subcommand():
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert {run[0] for run in RUNS} == set(subparsers.choices)
+
+
+def _run_swapped(run, where, path, value):
+    """Run one swapped copy of a valid run; (argv, exit code, stdout, stderr)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(run)
+        if path is None:
+            argv[where] = value if isinstance(value, str) else json.dumps(value)
+        for k, arg in enumerate(argv):
+            if k and arg.startswith("@") and arg[1:] in DOCS:
+                doc = DOCS[arg[1:]]
+                if arg[1:] == where:
+                    doc = _swapped(doc, path, value)
+                file = Path(tmp) / f"{arg[1:]}.json"
+                file.write_text(json.dumps(doc))
+                argv[k] = str(file)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    return argv, code, out.getvalue(), err.getvalue()
+
+
+def _assert_exit_contract(run, where, path, value):
+    argv, code, out, err = _run_swapped(run, where, path, value)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, (argv, err)
+    if code == 1:
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert _failure_shown(run[0], recs), (argv, recs)
+    return code, err
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_swapped_literal_keeps_exit_contract(data):
+    run = data.draw(st.sampled_from(RUNS))
+    where, path = data.draw(st.sampled_from(_targets(run)))
+    _assert_exit_contract(run, where, path, data.draw(HOSTILE))
+
+
+# Swaps that once ended in a traceback, one per site, or whose string was
+# read character by character as an array; each is bad input.
+SHAPE_CASES = {
+    "table_not_array": (["axioms", "@line"], "line", ("dist",), 1.5),
+    "table_row_not_array": (["axioms", "@line"], "line", ("dist", 0), 1.5),
+    "points_not_array": (["axioms", "@line"], "line", ("points",), 1.5),
+    "points_as_string": (["axioms", "@line"], "line", ("points",), "0123"),
+    "table_row_as_string": (["axioms", "@line"], "line", ("dist", 0), "0123"),
+    "point_name_array": (["axioms", "@line"], "line", ("points", 0), []),
+    "grid_values_not_array": (["centers", "@grid"], "grid", ("values",), 1.5),
+    "skewed_values_not_array": (["axioms", "@skew_bad"], "skew_bad", ("values",), 1.5),
+    "poset_matrix_not_array": (["idl", "@diamond"], "diamond", ("leq",), 1.5),
+    "poset_elements_not_array": (["idl", "@diamond"], "diamond", ("elements",), 1.5),
+    "poset_element_array": (["idl", "@diamond"], "diamond", ("elements", 0), []),
+    "basis_matrix_not_array": (["rideal", "@basis"], "basis", ("prec",), 1.5),
+    "basis_elements_not_array": (["rideal", "@basis"], "basis", ("elements",), 1.5),
+    "basis_element_array": (["rideal", "@basis"], "basis", ("elements", 0), []),
+    "probe_members_not_array": (["standard", "@line", "@chain"], "chain", ("family", "members"), 1.5),
+    "witness_claim_not_array": (["replay", "@wb_witness"], "wb_witness", ("claim",), 1.5),
+    "witness_claim_empty": (["replay", "@wb_witness"], "wb_witness", ("claim",), []),
+    "witness_members_not_array": (["replay", "@wb_witness"], "wb_witness", ("family", "members"), 1.5),
+    "witness_member_not_pair": (["replay", "@std_witness"], "std_witness", ("members", 0), 1.5),
+    "function_zero_denominator": (["envelope", "@line", "@func", "--alpha", "1"], "func", ("values", "1"), "1/0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+def test_malformed_document_exits_2(case):
+    run, where, path, value = SHAPE_CASES[case]
+    code, err = _assert_exit_contract(run, where, path, value)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_number_names_are_still_names():
+    """A basis may name its elements by numbers; its completion names its
+    ideals by them too."""
+    code, _ = _assert_exit_contract(["rideal", "@basis"], "basis", ("elements", 0), 1.5)
+    assert code == 0

@@ -1,4 +1,6 @@
-"""Every demo script runs to completion with nothing on stderr."""
+"""Every demo script runs to completion with nothing on stderr, and prints
+exactly its recorded output in ``tests/golden/<stem>.txt``: identical inputs
+give byte-identical output."""
 
 import os
 import subprocess
@@ -9,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -19,3 +22,4 @@ def test_demo_runs_cleanly(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+    assert done.stdout == (GOLDEN / f"{demo.stem}.txt").read_text(encoding="utf-8")
