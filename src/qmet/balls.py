@@ -702,13 +702,19 @@ class OrderLawsReport:
 
 def _ball_grid(space: Space, radii: Sequence, strict: bool = False) -> tuple[list, list, list]:
     """The balls over the carrier and radius grid, by point then radius, and
-    their rows: bit j of rows[i] is set iff balls[i] <=+ balls[j], or, with
-    strict, iff balls[i] strictly approximates balls[j].  The third item
-    holds the radii as ints over the common denominator of the radii and the
-    space's int view, where every compare is made; ``leq_dplus`` and
-    ``prec`` are the reference routes."""
+    their rows and scaled radii from ``_ball_rows``."""
     radii = [as_fraction(r) for r in radii]
-    balls = [FormalBall(p, r) for p in space.points for r in radii]
+    rows, scaled = _ball_rows(space, radii, strict)
+    return [FormalBall(p, r) for p in space.points for r in radii], rows, scaled
+
+
+def _ball_rows(space: Space, radii: Sequence[Fraction], strict: bool = False) -> tuple[list, list]:
+    """The rows of the balls over the carrier and radius grid, by point then
+    radius: bit j of rows[i] is set iff ball i <=+ ball j, or, with strict,
+    iff ball i strictly approximates ball j.  The second item holds the
+    radii as ints over the common denominator of the radii and the space's
+    int view, where every compare is made; ``leq_dplus`` and ``prec`` are
+    the reference routes."""
     den, table = space._int_view()
     scale = lcm(den, *(r.denominator for r in radii))
     factor = scale // den
@@ -732,7 +738,7 @@ def _ball_grid(space: Space, radii: Sequence, strict: bool = False) -> tuple[lis
             for d, block in reach:
                 row |= block[cut(levels, r - d)]
             rows.append(row)
-    return balls, rows, scaled
+    return rows, scaled
 
 
 def order_laws_report(
@@ -761,7 +767,7 @@ def order_laws_report(
     standard_ok = True
     for a in shifts:
         a = as_fraction(a)
-        _, shifted, _ = _ball_grid(space, [as_fraction(r) + a for r in radii])
+        shifted, _ = _ball_rows(space, [as_fraction(r) + a for r in radii])
         for i in range(n):
             for j in _bits(rows[i] ^ shifted[i]):
                 standard_ok = False

@@ -62,14 +62,21 @@ def transitive_closure(rows: Sequence[int]) -> list[int]:
 class FinitePoset:
     """An immutable finite partial order, validated on construction."""
 
-    def __init__(self, elements: Sequence[str], leq: Sequence[Sequence[bool]]):
+    def __init__(self, elements: Sequence[str], leq: Sequence, masks: bool = False):
+        """leq is the boolean relation matrix, or with masks its rows as
+        bitmasks: bit j of leq[i] set iff element i <= element j."""
         self._elements = tuple(elements)
         if len(set(self._elements)) != len(self._elements):
             raise NotAPartialOrder("duplicate element names")
         n = len(self._elements)
-        if not is_square(leq, n):
+        if masks:
+            if len(leq) != n or any(row < 0 or row >> n for row in leq):
+                raise NotAPartialOrder("relation masks shape mismatch")
+            self._up = list(leq)
+        elif not is_square(leq, n):
             raise NotAPartialOrder("relation matrix shape mismatch")
-        self._up = [_mask_of(j for j in range(n) if leq[i][j]) for i in range(n)]
+        else:
+            self._up = [_mask_of(j for j in range(n) if leq[i][j]) for i in range(n)]
         self._index = {e: i for i, e in enumerate(self._elements)}
         self._validate()
 
@@ -99,10 +106,7 @@ class FinitePoset:
         rows = [1 << i for i in range(len(elements))]
         for a, b in pairs:
             rows[index[a]] |= 1 << index[b]
-        rows = transitive_closure(rows)
-        n = len(elements)
-        matrix = [[bool(rows[i] & (1 << j)) for j in range(n)] for i in range(n)]
-        return cls(elements, matrix)
+        return cls(elements, transitive_closure(rows), masks=True)
 
     @classmethod
     def chain(cls, elements: Sequence[str]) -> "FinitePoset":
@@ -144,21 +148,15 @@ class FinitePoset:
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse edges: pairs a < b with nothing strictly between."""
-        n = len(self._elements)
         out = []
-        for i in range(n):
+        for i, e in enumerate(self._elements):
             strict = self._up[i] & ~(1 << i)
-            for j in _bits(strict):
-                between = strict & self._up_strict_down(j)
-                if not between:
-                    out.append((self._elements[i], self._elements[j]))
+            # b covers a unless b is strictly above some k strictly above a
+            beyond = 0
+            for k in _bits(strict):
+                beyond |= self._up[k] & ~(1 << k)
+            out.extend((e, self._elements[j]) for j in _bits(strict & ~beyond))
         return out
-
-    def _up_strict_down(self, j: int) -> int:
-        # mask of k with k < j
-        return _mask_of(
-            k for k in range(len(self._elements)) if k != j and self._up[k] & (1 << j)
-        )
 
     def is_up_closed(self, subset: Iterable[str]) -> bool:
         mask = _mask_of(self.index(a) for a in subset)
@@ -241,9 +239,9 @@ def _inclusion_completion(
     indices, their inclusion poset, and the completion name of each mask."""
     masks = sorted(set(masks), key=lambda m: (m.bit_count(), list(_bits(m))))
     names = {m: "{" + ",".join(str(elements[i]) for i in _bits(m)) + "}" for m in masks}
-    matrix = [[not a & ~b for b in masks] for a in masks]
+    rows = [_mask_of(j for j, b in enumerate(masks) if not a & ~b) for a in masks]
     ideals = [frozenset(elements[i] for i in _bits(m)) for m in masks]
-    return FinitePoset(list(names.values()), matrix), ideals, names
+    return FinitePoset(list(names.values()), rows, masks=True), ideals, names
 
 
 def ideal_completion(p: FinitePoset) -> IdealCompletion:

@@ -7,19 +7,22 @@ way-below jump in the ambient ball poset and a radius contraction by a fixed
 factor, so strict chains of finite elements shorten geometrically and
 nothing in the limit layer ever sits below a finite element.
 
-Model elements are formal balls, so the ambient rule reads them directly.
-The checks read the model poset's bitmask rows, mapping each element to its
-poset index by name.
+The order comes from the integer ball-grid kernel of ``qmet.balls``: its
+strict rows over the radii 0, 1, 1/2, ..., 2^-depth, masked by the
+non-center rule and by one halving mask per radius, plus its radius-zero
+rows for the limit layer.  The checks read the model poset's bitmask rows,
+mapping each element to its poset index by name.  The pairwise route, one
+way-below call per element pair, is kept under ``tests/`` as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .balls import FormalBall, way_below_oracle
+from .balls import FormalBall, _ball_rows, way_below_oracle
 from .errors import NoOracle, QmetError
-from .extreal import ZERO, as_fraction
-from .posets import FinitePoset, export_dot, quasi_ideal_check
+from .extreal import as_fraction
+from .posets import FinitePoset, _bits, _mask_of, export_dot, quasi_ideal_check
 from .spaces import Space
 
 
@@ -68,6 +71,9 @@ class ModelPoset:
         out["radius"] = {e.name: str(e.radius) for e in self.elements}
         return out
 
+    def __repr__(self):
+        return f"ModelPoset(depth={self.depth}, factor={self.factor}, poset={self.poset!r})"
+
 
 def build_model(space: Space, depth: int, factor=Fraction(2)) -> ModelPoset:
     """Assemble the model poset over the given space.
@@ -83,28 +89,38 @@ def build_model(space: Space, depth: int, factor=Fraction(2)) -> ModelPoset:
     factor = as_fraction(factor)
     if factor <= 1:
         raise QmetError("contraction factor must exceed 1")
-    orc = way_below_oracle(space)
-    if orc is None:
+    if way_below_oracle(space) is None:
         raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
-    _, oracle = orc
 
-    elements = [ModelElement(p, Fraction(0)) for p in space.points]
-    for p in space.points:
-        for k in range(depth + 1):
-            elements.append(ModelElement(p, Fraction(1, 2**k)))
+    radii = [Fraction(0)] + [Fraction(1, 2**k) for k in range(depth + 1)]
+    n, m = len(space), len(radii)
+    elements = [ModelElement(p, radii[0]) for p in space.points]
+    elements += [ModelElement(p, r) for p in space.points for r in radii[1:]]
 
-    def below(e1: ModelElement, e2: ModelElement) -> bool:
-        if e1 == e2:
-            return True
-        if e1.radius == 0 and e2.radius == 0:
-            return space.dist(e1.center, e2.center) == ZERO
-        if oracle(space, e1, e2):
-            return e1.radius >= factor * e2.radius
-        return False
-
-    names = [e.name for e in elements]
-    matrix = [[below(a, b) for b in elements] for a in elements]
-    poset = FinitePoset(names, matrix)
+    # Grid ball i is (point i // m, radii[i % m]); its strict row is the
+    # oracle's strict approximation.  The rule drops the block of its own
+    # point at a non-center point, and halving keeps the radius indices b
+    # with r >= factor * radii[b], the same bits in every point's block.
+    strict, scaled = _ball_rows(space, radii, strict=True)
+    limit_rows, _ = _ball_rows(space, radii[:1])  # d(x, y) <= 0, i.e. d(x, y) = 0
+    repeat = sum(1 << (y * m) for y in range(n))
+    num, den = factor.numerator, factor.denominator
+    halving = [
+        repeat * _mask_of(b for b, s in enumerate(scaled) if den * r >= num * s) for r in scaled
+    ]
+    block = (1 << m) - 1
+    rows = [row | 1 << x for x, row in enumerate(limit_rows)]
+    for x, point in enumerate(space.points):
+        own = block << (x * m) if point in space.non_center_points else 0
+        for a in range(1, m):
+            row = strict[x * m + a] & halving[a] & ~own
+            # to element order: the limit layer, then each point's finite block
+            out = 1 << (n + x * (m - 1) + a - 1)
+            for y in range(n):
+                bits = row >> (y * m) & block
+                out |= (bits & 1) << y | (bits >> 1) << (n + y * (m - 1))
+            rows.append(out)
+    poset = FinitePoset([e.name for e in elements], rows, masks=True)
     return ModelPoset(space, depth, factor, poset, elements)
 
 
@@ -130,45 +146,55 @@ class ModelCheckReport:
         )
 
 
-def _limit_rows(m: ModelPoset) -> list[list[bool]]:
-    """The model order between the radius-zero balls, by carrier point."""
+def _limit_masks(m: ModelPoset) -> list[int]:
+    """The model order between the radius-zero balls, as bitmask rows by
+    carrier point."""
     p = m.poset
     zero = [p.index(f"({x}, 0)") for x in m.space.points]
-    return [[bool(p.up_mask(i) >> j & 1) for j in zero] for i in zero]
+    return [_mask_of(k for k, j in enumerate(zero) if p.up_mask(i) >> j & 1) for i in zero]
 
 
 def quasi_ideal_model_check(m: ModelPoset) -> ModelCheckReport:
     """Run the four structural clauses against a built (or tampered) model."""
     p = m.poset
     at = {p.index(e.name): e for e in m.elements}
-    finite = [i for i, e in at.items() if not e.is_limit]
-    # the finite elements strictly above each element, in element order
-    above = {i: [j for j in finite if j != i and p.up_mask(i) >> j & 1] for i in at}
+    finite = [i for i, e in at.items() if not e.is_limit]  # in element order
+    finite_mask = _mask_of(finite)
+    # the finite elements strictly above each element
+    above = {i: p.up_mask(i) & finite_mask & ~(1 << i) for i in at}
 
     layering_violations = [
-        (e.name, at[j].name) for i, e in at.items() if e.is_limit for j in above[i]
+        (e.name, at[j].name)
+        for i, e in at.items()
+        if e.is_limit and above[i]
+        for j in finite
+        if above[i] >> j & 1
     ]
 
-    memo: dict = {}
-
-    def longest_from(i: int) -> int:
-        if i not in memo:
-            memo[i] = 1 + max((longest_from(j) for j in above[i]), default=0)
-        return memo[i]
-
-    longest = max((longest_from(i) for i in finite), default=0)
+    # the longest strict chain of finite elements: one round per chain
+    # element, each taking away the elements with nothing left above them
+    longest, left = 0, finite_mask
+    while left:
+        left &= ~_mask_of(i for i in _bits(left) if not above[i] & left)
+        longest += 1
     bound = m.depth + 1
 
-    points = m.space.points
-    limit_iso_ok = _limit_rows(m) == [
-        [m.space.specialization_leq(x, y) for y in points] for x in points
+    _, dist = m.space._int_view()
+    limit_iso_ok = _limit_masks(m) == [
+        _mask_of(j for j, d in enumerate(row) if d == 0) for row in dist
     ]
 
     qreport = quasi_ideal_check(p, [at[i].name for i in finite])
 
-    halving_ok = all(
-        at[i].radius >= m.factor * at[j].radius for i in finite for j in above[i]
-    )
+    # halving: an edge from radius r may only reach the radius classes s
+    # with r >= factor * s
+    classes: dict = {}
+    for i in finite:
+        classes[at[i].radius] = classes.get(at[i].radius, 0) | 1 << i
+    reach = {  # the classes are disjoint, so their sum is their union
+        r: sum(mask for s, mask in classes.items() if r >= m.factor * s) for r in classes
+    }
+    halving_ok = all(not above[i] & ~reach[at[i].radius] for i in finite)
 
     return ModelCheckReport(
         not layering_violations,
@@ -184,7 +210,7 @@ def quasi_ideal_model_check(m: ModelPoset) -> ModelCheckReport:
 
 def limit_layer(m: ModelPoset) -> FinitePoset:
     """The induced poset on the radius-zero elements, named by carrier point."""
-    return FinitePoset(list(m.space.points), _limit_rows(m))
+    return FinitePoset(list(m.space.points), _limit_masks(m), masks=True)
 
 
 def model_to_dot(m: ModelPoset) -> str:

@@ -47,6 +47,18 @@ def test_construction_validation():
         )  # not transitive
 
 
+def test_construction_from_masks():
+    matrix = [[True, True, True], [False, True, True], [False, False, True]]
+    assert FinitePoset(["a", "b", "c"], [0b111, 0b110, 0b100], masks=True) == FinitePoset(
+        ["a", "b", "c"], matrix
+    )
+    for bad in ([0b11], [0b11, 0b110], [0b01, -1]):  # short, a stray bit, negative
+        with pytest.raises(NotAPartialOrder, match="masks shape mismatch"):
+            FinitePoset(["a", "b"], bad, masks=True)
+    with pytest.raises(NotAPartialOrder, match="not transitive"):
+        FinitePoset(["a", "b", "c"], [0b011, 0b110, 0b100], masks=True)
+
+
 def test_unknown_element():
     p = FinitePoset.chain(["a", "b"])
     with pytest.raises(UnknownElement):
@@ -366,6 +378,23 @@ def test_export_dot_empty():
 def test_export_dot_skips_transitive_edges():
     text = export_dot(FinitePoset.chain(["a", "b", "c"]))
     assert '"a" -> "c";' not in text
+
+
+@pytest.mark.parametrize("n", [1, 4, 7, 10])
+def test_covers_match_definition(n):
+    """a < b with no c strictly between, in element order of a, then b."""
+    for seed in range(4):
+        p = random_poset(n, seed)
+        es = p.elements
+
+        def lt(a, b):
+            return a != b and p.leq(a, b)
+
+        want = [
+            (a, b) for a in es for b in es
+            if lt(a, b) and not any(lt(a, c) and lt(c, b) for c in es)
+        ]
+        assert p.covers() == want
 
 
 def test_random_poset_determinism():
