@@ -13,19 +13,24 @@ except when x = y is a non-center point.  Hence v(x, y) = d(x, y), except
 v(x, x) = inf at a non-center point.  This module tests no space kind for
 these facts; each ``Space`` subclass states them once: ``way_below_rule``
 (the rule's name, None where its kind has no closed form),
-``non_center_points`` and ``witness_families``.
+``non_center_points``, ``witness_families`` and ``approach_floor``.
 
 The refuter's witness families come in three shapes, each with an exactly
-computable supremum:
+computable supremum (z, t) at a carrier point z:
 
-* radius shrink: (z, t + 2^-m) for m in N, supremum (z, t) in any space;
-* left approach: (x* - 2^-(m+n0), t + 2^-(m+n0)) climbing to a carrier point
-  x* from the left, supremum (x*, t) on Sorgenfrey-like lines;
-* divergent climb: (m, t + 2^-m) with unbounded centers, supremum (inf, t)
+* radius shrink: (z, t + 2^-k), supremum (z, t) in any space;
+* left approach: (z - 2^-k, t + 2^-k) climbing to z from the left,
+  supremum (z, t) on Sorgenfrey-like lines, with centers kept above the
+  space's ``approach_floor``;
+* divergent climb: (k, t + 2^-k) with unbounded centers, supremum (inf, t)
   on the extended real line.
 
-Members may be ambient points outside the finite carrier; the family plus
-its closed-form tail argument is what gets serialized and replayed.
+Each family is written once, in three closed-form parts that the refuter
+and ``WayBelowWitness.replay`` both read: ``start`` (the first index n0 at
+z, None where the family cannot reach z), ``escapes`` (no tail member
+dominates the left ball) and ``member`` (the k-th member).  Members may be
+ambient points outside the finite carrier; the family, its supremum and
+the prefix k = n0, ..., n0 + depth are what gets serialized and replayed.
 """
 
 from __future__ import annotations
@@ -41,13 +46,7 @@ from typing import Optional, Sequence, Union
 from .errors import BadInput, InvalidSup, NoOracle, QmetError, expect_list, expect_object
 from .extreal import INF, ExtReal, as_fraction, monus
 from .posets import _bits
-from .spaces import (
-    INF_POINT,
-    SkewedIntervalSpace,
-    Space,
-    TailedSorgenfreySpace,
-    point_label,
-)
+from .spaces import INF_POINT, SkewedIntervalSpace, Space, point_label
 
 HOLDS = "holds"
 REFUTED = "refuted"
@@ -193,90 +192,123 @@ class WayBelowWitness:
     def from_json(cls, obj: dict) -> "WayBelowWitness":
         fam = expect_object(expect_object(obj, "a witness")["family"], "a family")
         lower, upper = (parse_ball(b) for b in expect_list(obj["claim"], "a claim", 2))
+        if not isinstance(fam["limit_center"], str):
+            raise BadInput(f"limit_center must be a point name, got {fam['limit_center']!r}")
+        n0 = fam["n0"]
+        if type(n0) is not int or n0 < 0:
+            raise BadInput(f"n0 must be a non-negative integer, got {n0!r}")
         return cls(
             fam["kind"],
             fam["limit_center"],
             as_fraction(fam["t"]),
-            fam["n0"],
+            n0,
             _members_from_json(fam["members"]),
             lower,
             upper,
         )
 
     def replay(self, space: Space) -> bool:
-        """Re-verify the refutation from the serialized family."""
-        return _witness_valid(space, self)
-
-
-def _members_follow_schema(space: Space, w: WayBelowWitness) -> bool:
-    """The materialized prefix must match the family's closed form, form a
-    chain below the declared supremum, and dominate nothing below the claim's
-    left ball."""
-    for m, (label, radius) in enumerate(w.members):
-        if w.kind == "radius_shrink":
-            want = (w.limit_center, w.t + _dyadic(m))
-        elif w.kind == "left_approach":
-            step = _dyadic(m + w.n0)
-            want = (point_label(space.value(w.limit_center) - step), w.t + step)
-        elif w.kind == "divergent":
-            want = (str(m), w.t + _dyadic(m))
-        else:
+        """Re-verify the refutation from the serialized family, through the
+        same family definition as the refuter's."""
+        b1, b2, z, t = self.lower, self.upper, self.limit_center, self.t
+        if t < 0 or self.kind not in space.witness_families:
             return False
-        if (label, radius) != want:
+        family = _FAMILIES[self.kind]
+        if family.start(space, z) != self.n0:
             return False
-    if w.kind == "radius_shrink":
-        # constant center, strictly shrinking radii: chain and bounds are immediate
-        lower_d = space.dist(w.lower.center, w.limit_center)
-        for _, radius in w.members:
-            if lower_d.is_finite and lower_d.as_fraction() <= w.lower.radius - radius:
-                return False
-        return True
-    values = []
-    for label, radius in w.members:
-        values.append((Fraction(label), radius))
-    x1 = space.value(w.lower.center)
-    for (va, ra), (vb, rb) in zip(values, values[1:]):
-        gap = space.ambient_dist(va, vb)
-        if gap.is_infinite or gap.as_fraction() > ra - rb:
-            return False  # not a chain
-    for v, r in values:
-        d1 = space.ambient_dist(x1, v)
-        if d1.is_finite and d1.as_fraction() <= w.lower.radius - r:
-            return False  # a member dominates the left ball after all
-    return True
-
-
-def _witness_valid(space: Space, w: WayBelowWitness) -> bool:
-    b1, b2 = w.lower, w.upper
-    t = w.t
-    if t < 0 or w.kind not in space.witness_families:
-        return False
-    if w.kind == "radius_shrink":
-        d2 = space.dist(b2.center, w.limit_center)
+        d2 = space.dist(b2.center, z)
         if d2.is_infinite or d2.as_fraction() > b2.radius - t:
+            return False  # (z, t) does not dominate the right ball
+        if not family.escapes(space, b1, z, t):
             return False
-        d1 = space.dist(b1.center, w.limit_center)
-        no_member = d1.is_infinite or d1.as_fraction() >= b1.radius - t
-        return no_member and _members_follow_schema(space, w)
-    if w.kind == "left_approach":
-        star = space.value(w.limit_center)
-        d2 = space.dist(b2.center, w.limit_center)
-        if d2.is_infinite or d2.as_fraction() > b2.radius - t:
+        ks = range(self.n0, self.n0 + len(self.members))
+        if self.members != [family.member(space, z, t, k) for k in ks]:
             return False
-        x1 = space.value(b1.center)
-        if isinstance(space, TailedSorgenfreySpace) and x1 <= 0:
-            return _members_follow_schema(space, w)
-        no_tail_member = not (x1 < star and star - x1 <= b1.radius - t)
-        return no_tail_member and _members_follow_schema(space, w)
-    # divergent
-    if w.limit_center != "inf":
-        return False
-    d2 = space.dist(b2.center, "inf")
-    if d2.is_infinite or d2.as_fraction() > b2.radius - t:
-        return False
-    x1 = space.value(b1.center)
-    no_tail_member = x1 is INF_POINT or b1.radius <= t
-    return no_tail_member and _members_follow_schema(space, w)
+        # the prefix is a chain (members at one center shrink their radii)
+        # and no member dominates the left ball after all
+        pairs = zip(self.members, self.members[1:])
+        if any(a != b and not _center_leq(space, a, ra, b, rb) for (a, ra), (b, rb) in pairs):
+            return False
+        return not any(_center_leq(space, b1.center, b1.radius, c, r) for c, r in self.members)
+
+
+def _center_leq(space: Space, a: str, ra: Fraction, b: str, rb: Fraction) -> bool:
+    """(a, ra) <=+ (b, rb) for witness centers: on the table between carrier
+    points, on the ambient formula once one of them lies off the carrier."""
+    pts = space.points
+    if a in pts and b in pts:
+        d = space.dist(a, b)
+    else:
+        d = space.ambient_dist(*(space.value(c) if c in pts else Fraction(c) for c in (a, b)))
+    return d.is_finite and d.as_fraction() <= ra - rb
+
+
+# ---------------------------------------------------------------------------
+# Witness families
+
+
+class _Family:
+    """A way-below witness family: members k = n0, n0 + 1, ... form a chain
+    with supremum (z, t) at a carrier point z.  Three closed-form parts:
+    ``start(space, z)`` is n0, None where the family cannot reach z;
+    ``escapes(space, b1, z, t)`` holds when no tail member dominates b1;
+    ``member(space, z, t, k)`` is the k-th member, (center label, radius)."""
+
+    def start(self, space: Space, z: str) -> Optional[int]:
+        return 0
+
+
+class _RadiusShrink(_Family):
+    """(z, t + 2^-k): supremum (z, t) in any space."""
+
+    def escapes(self, space, b1, z, t):
+        d1 = space.dist(b1.center, z)
+        return d1.is_infinite or d1.as_fraction() >= b1.radius - t
+
+    def member(self, space, z, t, k):
+        return (z, t + _dyadic(k))
+
+
+class _LeftApproach(_Family):
+    """(z - 2^-k, t + 2^-k), climbing to z from the left with centers above
+    the space's ``approach_floor``."""
+
+    def start(self, space, z):
+        floor = space.approach_floor
+        if floor is None:
+            return 0
+        gap = space.value(z) - floor
+        # the least k with 2^-k < gap
+        return None if gap <= 0 else (gap.denominator // gap.numerator).bit_length()
+
+    def escapes(self, space, b1, z, t):
+        x1, star, floor = space.value(b1.center), space.value(z), space.approach_floor
+        below = x1 < star and (floor is None or x1 > floor)
+        return not (below and star - x1 <= b1.radius - t)
+
+    def member(self, space, z, t, k):
+        return (point_label(space.value(z) - _dyadic(k)), t + _dyadic(k))
+
+
+class _Divergent(_Family):
+    """(k, t + 2^-k): unbounded centers, supremum (inf, t) on the extended
+    real line."""
+
+    def start(self, space, z):
+        return 0 if z == "inf" else None
+
+    def escapes(self, space, b1, z, t):
+        return space.value(b1.center) is INF_POINT or b1.radius <= t
+
+    def member(self, space, z, t, k):
+        return (str(k), t + _dyadic(k))
+
+
+_FAMILIES = {
+    "radius_shrink": _RadiusShrink(),
+    "left_approach": _LeftApproach(),
+    "divergent": _Divergent(),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -302,73 +334,23 @@ def way_below_oracle(space: Space):
 # The bounded refuter
 
 
-def _shrink_witness(space, b1, b2, z: str, depth: int) -> Optional[WayBelowWitness]:
-    d2 = space.dist(b2.center, z)
-    if d2.is_infinite or d2.as_fraction() > b2.radius:
-        return None
-    t = b2.radius - d2.as_fraction()
-    d1 = space.dist(b1.center, z)
-    if d1.is_finite and d1.as_fraction() < b1.radius - t:
-        return None  # every tail member eventually dominates b1
-    members = [(z, t + _dyadic(m)) for m in range(depth + 1)]
-    return WayBelowWitness("radius_shrink", z, t, 0, members, b1, b2)
-
-
-def _approach_witness(space, b1, b2, star_name: str, depth: int) -> Optional[WayBelowWitness]:
-    star = space.value(star_name)
-    d2 = space.dist(b2.center, star_name)
-    if d2.is_infinite or d2.as_fraction() > b2.radius:
-        return None
-    t = b2.radius - d2.as_fraction()
-    x1 = space.value(b1.center)
-    if isinstance(space, TailedSorgenfreySpace):
-        if star <= 0:
-            return None
-        member_ok = x1 > 0 and x1 < star and star - x1 <= b1.radius - t
-        n0 = 0
-        while star - _dyadic(n0) <= 0:
-            n0 += 1
-            if n0 > depth:
-                return None
-    else:
-        member_ok = x1 < star and star - x1 <= b1.radius - t
-        n0 = 0
-    if member_ok:
-        return None
-    members = [
-        (point_label(star - _dyadic(m + n0)), t + _dyadic(m + n0))
-        for m in range(depth + 1)
-    ]
-    return WayBelowWitness("left_approach", star_name, t, n0, members, b1, b2)
-
-
-def _divergent_witness(space, b1, b2, z: str, depth: int) -> Optional[WayBelowWitness]:
-    if z != "inf":
-        return None
-    t = b2.radius  # d(y, inf) = 0, so this is the largest admissible limit radius
-    x1 = space.value(b1.center)
-    if not (x1 is INF_POINT or b1.radius <= t):
-        return None
-    members = [(str(m), t + _dyadic(m)) for m in range(depth + 1)]
-    return WayBelowWitness("divergent", "inf", t, 0, members, b1, b2)
-
-
-_WITNESS_BUILDERS = {
-    "radius_shrink": _shrink_witness,
-    "left_approach": _approach_witness,
-    "divergent": _divergent_witness,
-}
-
-
 def _refute_way_below(space, b1, b2, depth: int) -> Optional[WayBelowWitness]:
     """The first witness over the space's families, in order, and over the
-    carrier points as the supremum's center."""
-    for family in space.witness_families:
-        build = _WITNESS_BUILDERS[family]
+    carrier points z as the supremum's center, at the largest limit radius
+    t = s - d(y, z) that the right ball allows."""
+    for kind in space.witness_families:
+        family = _FAMILIES[kind]
         for z in space.points:
-            w = build(space, b1, b2, z, depth)
-            if w:
-                return w
+            n0 = family.start(space, z)
+            if n0 is None or n0 > depth:  # the bounded search starts no deeper than depth
+                continue
+            d2 = space.dist(b2.center, z)
+            if d2.is_infinite or d2.as_fraction() > b2.radius:
+                continue
+            t = b2.radius - d2.as_fraction()
+            if family.escapes(space, b1, z, t):
+                members = [family.member(space, z, t, k) for k in range(n0, n0 + depth + 1)]
+                return WayBelowWitness(kind, z, t, n0, members, b1, b2)
     return None
 
 

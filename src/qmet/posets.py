@@ -184,13 +184,6 @@ class FinitePoset:
                 return out[::-1]
             mask = (mask - 1) & within
 
-    def maximal_elements(self) -> list[str]:
-        return [
-            e
-            for i, e in enumerate(self._elements)
-            if self._up[i] == (1 << i)
-        ]
-
     def to_json(self) -> dict:
         n = len(self._elements)
         return {

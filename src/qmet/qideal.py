@@ -52,18 +52,10 @@ class ModelPoset:
         self.factor = factor
         self.poset = poset
         self.elements = elements
-        self._by_name = {e.name: e for e in elements}
-
-    def element(self, name: str) -> ModelElement:
-        return self._by_name[name]
 
     @property
     def limit_names(self) -> list:
         return [e.name for e in self.elements if e.is_limit]
-
-    @property
-    def finite_names(self) -> list:
-        return [e.name for e in self.elements if not e.is_limit]
 
     def to_json(self) -> dict:
         """Standard poset JSON plus a radius annotation per node."""

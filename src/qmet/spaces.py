@@ -4,9 +4,10 @@ A space is a finite named carrier plus an exact distance table.  The table
 kinds either tabulate the distance directly or compute it from a closed
 formula.  The formula-driven kinds are finite windows onto infinite ambient
 spaces (the one-way real line, the Sorgenfrey line, a unit interval with a
-skewed origin, a Sorgenfrey segment with two tail points); the ambient
-formulas stay available to the ball machinery for witness families whose
-members fall outside the carrier.
+skewed origin, a Sorgenfrey segment with two tail points).  Each writes its
+formula once, as ``ambient_dist`` on point values: it fills the table over
+the carrier's values, and it serves the ball machinery for witness families
+whose members fall outside the carrier.
 """
 
 from __future__ import annotations
@@ -77,10 +78,12 @@ class Space:
     # way_below_rule names its closed-form way-below rule (None: no closed
     # form); non_center_points are the x with v(x, x) infinite, read only
     # where a rule is named; witness_families are the families the refuter
-    # builds and replay accepts, in search order.
+    # builds and replay accepts, in search order; approach_floor bounds a
+    # left approach from below, whose centers stay above it (None: no bound).
     way_below_rule: Optional[str] = None
     non_center_points: frozenset = frozenset()
     witness_families: tuple = ("radius_shrink",)
+    approach_floor: Optional[Fraction] = None
 
     def __init__(self, points: Sequence[str]):
         self._points = tuple(points)
@@ -91,13 +94,12 @@ class Space:
         self._ints: Optional[tuple] = None
 
     def _fill_table(self):
-        n = len(self._points)
-        self._table = [
-            [self._compute(i, j) for j in range(n)] for i in range(n)
-        ]
+        """The table of a formula kind: its ambient distance over its values."""
+        self._table = [[self.ambient_dist(a, b) for b in self._values] for a in self._values]
 
-    def _compute(self, i: int, j: int) -> ExtReal:
-        raise NotImplementedError
+    def value(self, name: str):
+        """The ambient value of a point of a formula kind."""
+        return self._values[self.index(name)]
 
     @property
     def points(self) -> tuple[str, ...]:
@@ -203,17 +205,10 @@ class RealGridSpace(Space):
             self.non_center_points = frozenset(["inf"])
             self.witness_families = ("radius_shrink", "divergent")
 
-    def _compute(self, i, j):
-        return real_line_dist(self._values[i], self._values[j])
-
-    def value(self, name: str):
-        return self._values[self.index(name)]
+    ambient_dist = staticmethod(real_line_dist)
 
     def contains_infinity(self) -> bool:
         return any(v is INF_POINT for v in self._values)
-
-    def ambient_dist(self, a, b) -> ExtReal:
-        return real_line_dist(a, b)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "values": [point_label(v) for v in self._values]}
@@ -233,14 +228,7 @@ class SorgenfreyGridSpace(Space):
         # every point is the supremum of a climb from its left
         self.non_center_points = frozenset(self._points)
 
-    def _compute(self, i, j):
-        return sorgenfrey_dist(self._values[i], self._values[j])
-
-    def value(self, name: str) -> Fraction:
-        return self._values[self.index(name)]
-
-    def ambient_dist(self, a: Fraction, b: Fraction) -> ExtReal:
-        return sorgenfrey_dist(a, b)
+    ambient_dist = staticmethod(sorgenfrey_dist)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "values": [str(v) for v in self._values]}
@@ -255,10 +243,10 @@ class PosetSpace(Space):
     def __init__(self, poset: FinitePoset):
         self.poset = poset
         super().__init__(poset.elements)
-        self._fill_table()
-
-    def _compute(self, i, j):
-        return ZERO if self.poset.leq_by_index(i, j) else INF
+        n = len(self._points)
+        self._table = [
+            [ZERO if poset.leq_by_index(i, j) else INF for j in range(n)] for i in range(n)
+        ]
 
     def to_json(self) -> dict:
         return self.poset.to_json()
@@ -289,19 +277,6 @@ class SkewedIntervalSpace(Space):
         super().__init__([str(v) for v in self._values])
         self._fill_table()
 
-    def _compute(self, i, j):
-        x, y = self._values[i], self._values[j]
-        if x == y:
-            return ZERO
-        if y == 0:
-            return ZERO
-        if x == 0:
-            return ExtReal(self.a)
-        return ExtReal(abs(x - y))
-
-    def value(self, name: str) -> Fraction:
-        return self._values[self.index(name)]
-
     def ambient_dist(self, x: Fraction, y: Fraction) -> ExtReal:
         if x == y or y == 0:
             return ZERO
@@ -330,6 +305,7 @@ class TailedSorgenfreySpace(Space):
 
     kind = "tailed_sorgenfrey"
     witness_families = ("radius_shrink", "left_approach")
+    approach_floor = Fraction(0)  # a left approach climbs inside the segment
 
     LOW2 = Fraction(-2)
     LOW1 = Fraction(-1)
@@ -351,12 +327,6 @@ class TailedSorgenfreySpace(Space):
         super().__init__([str(v) for v in self._values])
         self._fill_table()
 
-    def _compute(self, i, j):
-        return self.ambient_dist(self._values[i], self._values[j])
-
-    def value(self, name: str) -> Fraction:
-        return self._values[self.index(name)]
-
     def ambient_dist(self, x: Fraction, y: Fraction) -> ExtReal:
         if x == y:
             return ZERO
@@ -372,9 +342,6 @@ class TailedSorgenfreySpace(Space):
         if y == 1:
             return ExtReal(self.c)
         return INF
-
-    def segment_values(self) -> list[Fraction]:
-        return [v for v in self._values if v > 0]
 
     def to_json(self) -> dict:
         return {

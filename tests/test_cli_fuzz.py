@@ -25,6 +25,7 @@ LINE = {
     "dist": [[str(abs(a - b)) for b in range(4)] for a in range(4)],
 }
 GRID = {"kind": "real_grid", "values": ["0", "1/2", "1", "inf"]}
+SORGENFREY = {"kind": "sorgenfrey_grid", "values": ["0", "1/2", "1"]}
 SKEW = {"kind": "skewed_interval", "a": "1", "values": ["0", "1/3", "1"]}
 SKEW_BAD = {"kind": "skewed_interval", "a": "1/2", "values": ["0", "1/10", "1"]}
 DIAMOND = {
@@ -44,19 +45,24 @@ BASIS = {
 }
 
 
-def _witness_docs():
-    grid = space_from_json(GRID)
-    wb = way_below(grid, parse_ball("(inf, 2)"), parse_ball("(inf, 1)")).witness
+def _wb_witness(doc, lower, upper, kind):
+    space = space_from_json(doc)
+    wb = way_below(space, parse_ball(lower), parse_ball(upper)).witness
+    assert wb.kind == kind
+    return dict(wb.to_json(), space=space.to_json())
+
+
+def _std_witness():
     skew = space_from_json(SKEW)
     family = GeometricBallFamily(skew, 0)
     std = standardness_probe(skew, family, parse_ball("(0, 0)"), 1).witness
-    return (
-        dict(wb.to_json(), space=grid.to_json()),
-        dict(std.to_json(), space=skew.to_json()),
-    )
+    return dict(std.to_json(), space=SKEW)
 
 
-WB_WITNESS, STD_WITNESS = _witness_docs()
+WB_WITNESS = _wb_witness(GRID, "(inf, 2)", "(inf, 1)", "divergent")
+APPROACH_WITNESS = _wb_witness(SORGENFREY, "(1, 1)", "(1, 1/2)", "left_approach")
+SHRINK_WITNESS = _wb_witness(LINE, "(0, 1)", "(1, 1/2)", "radius_shrink")
+STD_WITNESS = _std_witness()
 
 DOCS = {
     "line": LINE,
@@ -73,6 +79,8 @@ DOCS = {
     },
     "func": {"values": {"0": "4", "1": "1/2", "2": "0", "3": "inf"}},
     "wb_witness": WB_WITNESS,
+    "approach_witness": APPROACH_WITNESS,
+    "shrink_witness": SHRINK_WITNESS,
     "std_witness": STD_WITNESS,
 }
 
@@ -99,6 +107,8 @@ RUNS = [
     ["choquet", "@diamond", "--depth", "3", "--seed", "2"],
     ["export", "@diamond"],
     ["replay", "@wb_witness"],
+    ["replay", "@approach_witness"],
+    ["replay", "@shrink_witness"],
     ["replay", "@std_witness"],
 ]
 
@@ -218,6 +228,7 @@ def test_swapped_literal_keeps_exit_contract(data):
 
 # Swaps that once ended in a traceback, one per site, or whose string was
 # read character by character as an array; each is bad input.
+APPROACH_N0 = (["replay", "@approach_witness"], "approach_witness", ("family", "n0"))
 SHAPE_CASES = {
     "table_not_array": (["axioms", "@line"], "line", ("dist",), 1.5),
     "table_row_not_array": (["axioms", "@line"], "line", ("dist", 0), 1.5),
@@ -238,6 +249,14 @@ SHAPE_CASES = {
     "witness_claim_empty": (["replay", "@wb_witness"], "wb_witness", ("claim",), []),
     "witness_members_not_array": (["replay", "@wb_witness"], "wb_witness", ("family", "members"), 1.5),
     "witness_member_not_pair": (["replay", "@std_witness"], "std_witness", ("members", 0), 1.5),
+    "witness_limit_center_array": (
+        ["replay", "@shrink_witness"], "shrink_witness", ("family", "limit_center"), []
+    ),
+    "witness_n0_string": (*APPROACH_N0, "x"),
+    "witness_n0_fraction": (*APPROACH_N0, 1.5),
+    "witness_n0_negative": (*APPROACH_N0, -1),
+    "witness_n0_null": (*APPROACH_N0, None),
+    "witness_n0_array": (*APPROACH_N0, [1]),
     "function_zero_denominator": (["envelope", "@line", "@func", "--alpha", "1"], "func", ("values", "1"), "1/0"),
 }
 
