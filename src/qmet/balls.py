@@ -224,10 +224,9 @@ class WayBelowWitness:
         ks = range(self.n0, self.n0 + len(self.members))
         if self.members != [family.member(space, z, t, k) for k in ks]:
             return False
-        # the prefix is a chain (members at one center shrink their radii)
-        # and no member dominates the left ball after all
+        # the prefix is a chain and no member dominates the left ball after all
         pairs = zip(self.members, self.members[1:])
-        if any(a != b and not _center_leq(space, a, ra, b, rb) for (a, ra), (b, rb) in pairs):
+        if any(not _center_leq(space, a, ra, b, rb) for (a, ra), (b, rb) in pairs):
             return False
         return not any(_center_leq(space, b1.center, b1.radius, c, r) for c, r in self.members)
 
@@ -259,7 +258,11 @@ class _Family:
 
 
 class _RadiusShrink(_Family):
-    """(z, t + 2^-k): supremum (z, t) in any space."""
+    """(z, t + 2^-k): supremum (z, t) in any space, at a z with d(z, z) = 0
+    (elsewhere (z, r) <=+ (z, r') fails for r - r' < d(z, z): no chain)."""
+
+    def start(self, space, z):
+        return 0 if space.dist(z, z) == 0 else None
 
     def escapes(self, space, b1, z, t):
         d1 = space.dist(b1.center, z)

@@ -78,6 +78,7 @@ class FinitePoset:
         else:
             self._up = [_mask_of(j for j in range(n) if leq[i][j]) for i in range(n)]
         self._index = {e: i for i, e in enumerate(self._elements)}
+        self._down = None
         self._validate()
 
     def _validate(self):
@@ -139,12 +140,21 @@ class FinitePoset:
     def up_mask(self, i: int) -> int:
         return self._up[i]
 
+    def _down_rows(self) -> list[int]:
+        """Row j is the mask of the elements below j; built on first use."""
+        if self._down is None:
+            up, n = self._up, len(self._up)
+            self._down = [_mask_of(i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+        return self._down
+
+    def _set(self, mask: int) -> frozenset:
+        return frozenset(self._elements[j] for j in _bits(mask))
+
     def up_set(self, a: str) -> frozenset:
-        return frozenset(self._elements[j] for j in _bits(self._up[self.index(a)]))
+        return self._set(self._up[self.index(a)])
 
     def down_set(self, a: str) -> frozenset:
-        j = self.index(a)
-        return frozenset(e for i, e in enumerate(self._elements) if self._up[i] & (1 << j))
+        return self._set(self._down_rows()[self.index(a)])
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse edges: pairs a < b with nothing strictly between."""
@@ -160,29 +170,22 @@ class FinitePoset:
 
     def is_up_closed(self, subset: Iterable[str]) -> bool:
         mask = _mask_of(self.index(a) for a in subset)
-        for i in _bits(mask):
-            if self._up[i] & ~mask:
-                return False
-        return True
+        return not any(self._up[i] & ~mask for i in _bits(mask))
 
     def up_closed_subsets(self) -> list[frozenset]:
         """All up-sets (the opens of the Scott = up-set topology), canonical order."""
-        n = len(self._elements)
-        return [
-            frozenset(self._elements[i] for i in _bits(mask))
-            for mask in self._up_masks((1 << n) - 1)
-        ]
+        return [self._set(mask) for mask in self._up_masks((1 << len(self)) - 1)]
 
     def _up_masks(self, within: int) -> list[int]:
-        """The up-closed sub-masks of within, in ascending order."""
-        out = []
-        mask = within
-        while True:
-            if all(not self._up[i] & ~mask for i in _bits(mask)):
-                out.append(mask)
-            if not mask:
-                return out[::-1]
-            mask = (mask - 1) & within
+        """The up-closed sub-masks of within, in ascending order.  Elements
+        are decided top-down, fewest elements above first, and one joins only
+        once all strictly above it have, so every branch ends in an up-set
+        and the cost is linear in the output."""
+        masks = [0]
+        for i in sorted(_bits(within), key=lambda i: self._up[i].bit_count()):
+            above = self._up[i] ^ (1 << i)
+            masks += [m | 1 << i for m in masks if not above & ~m]
+        return sorted(masks)
 
     def to_json(self) -> dict:
         n = len(self._elements)
@@ -243,8 +246,7 @@ def ideal_completion(p: FinitePoset) -> IdealCompletion:
     A finite directed set holds its own maximum, so every ideal is the
     down-set of one element.
     """
-    n = len(p)
-    down = [_mask_of(j for j in range(n) if p.leq_by_index(j, i)) for i in range(n)]
+    down = p._down_rows()
     poset, ideals, names = _inclusion_completion(p.elements, down)
     embedding = {e: names[down[i]] for i, e in enumerate(p.elements)}
     return IdealCompletion(poset, ideals, embedding)
@@ -413,16 +415,10 @@ class PlayTranscript:
         return bool(self.intersection_u())
 
     def intersection_u(self) -> frozenset:
-        out = frozenset(self.poset.elements)
-        for r in self.rounds:
-            out &= r.u
-        return out
+        return frozenset(self.poset.elements).intersection(*(r.u for r in self.rounds))
 
     def intersection_v(self) -> frozenset:
-        out = frozenset(self.poset.elements)
-        for r in self.rounds:
-            out &= r.v
-        return out
+        return frozenset(self.poset.elements).intersection(*(r.v for r in self.rounds))
 
     def intersections_equal(self) -> bool:
         """The two limit intersections agree.
@@ -445,29 +441,39 @@ class PlayTranscript:
         return last.v == self.poset.up_set(last.y)
 
 
+def _reply(down: list[int], x: int, v: int) -> int:
+    """The reply to the move (x, V) on down-set rows: the lowest index i in
+    cand = down(x) & V with down(i) & cand == {i}; -1 where cand is empty."""
+    cand = rest = down[x] & v
+    while rest:
+        low = rest & -rest
+        if down[low.bit_length() - 1] & cand == low:
+            return low.bit_length() - 1
+        rest ^= low
+    return -1
+
+
 def alpha_reply(p: FinitePoset, x: str, v: frozenset) -> str:
     """Reply point: minimal below-x point inside v, ties broken by element order."""
-    candidates = [y for y in p.elements if y in v and p.leq(y, x)]
-    if not candidates:
+    vm = _mask_of(i for i, e in enumerate(p.elements) if e in v)
+    y = _reply(p._down_rows(), p.index(x), vm) if vm else -1
+    if y < 0:
         raise IllegalMove(f"{x} has no approximant inside {sorted(v)}")
-    minimal = [
-        y
-        for y in candidates
-        if not any(z != y and p.leq(z, y) for z in candidates)
-    ]
-    return minimal[0]
+    return p.elements[y]
+
+
+def _beta_moves(p: FinitePoset, within: int) -> list[tuple[int, int]]:
+    """The legal challenger moves inside within as (point index, open mask),
+    in canonical order: opens by their index tuples, then points by index."""
+    opens = sorted((list(_bits(m)), m) for m in p._up_masks(within) if m)
+    return [(i, m) for members, m in opens for i in members]
 
 
 def legal_beta_moves(p: FinitePoset, inside: frozenset) -> list[tuple[str, frozenset]]:
     """All legal challenger moves (x, V) with V a nonempty open inside the
     current open, in canonical order."""
     within = _mask_of(i for i, e in enumerate(p.elements) if e in inside)
-    opens = sorted(list(_bits(m)) for m in p._up_masks(within) if m)
-    moves = []
-    for members in opens:
-        v = frozenset(p.elements[i] for i in members)
-        moves.extend((p.elements[i], v) for i in members)
-    return moves
+    return [(p.elements[i], p._set(m)) for i, m in _beta_moves(p, within)]
 
 
 def play(p: FinitePoset, moves: Sequence[tuple[str, Iterable[str]]]) -> PlayTranscript:
@@ -501,19 +507,20 @@ def choquet_play(
     if isinstance(beta, (list, tuple)):
         return play(p, beta)
     rng = random.Random(seed)
-    inside = frozenset(p.elements)
+    inside = (1 << len(p)) - 1
     moves = []
     for turn in range(depth):
-        legal = legal_beta_moves(p, inside)
+        legal = _beta_moves(p, inside)
         if not legal:
             break
         if callable(beta):
-            move = beta(turn, inside)
+            move = beta(turn, p._set(inside))
+            y = p.index(alpha_reply(p, move[0], frozenset(move[1])))
         else:
-            move = legal[rng.randrange(len(legal))]
+            x, v = legal[rng.randrange(len(legal))]
+            move, y = (p.elements[x], p._set(v)), _reply(p._down_rows(), x, v)
         moves.append(move)
-        y = alpha_reply(p, move[0], frozenset(move[1]))
-        inside = p.up_set(y)
+        inside = p.up_mask(y)
     return play(p, moves)
 
 
@@ -529,43 +536,36 @@ class ChoquetSweep:
 def verify_all_plays(p: FinitePoset, depth: int = 4) -> ChoquetSweep:
     """Exhaustively verify every play to the given depth.
 
-    Plays are walked over the state graph (a state is the current reply
-    open), with continuations shared between histories that reach the same
-    state; the per-round invariants are checked on every edge, so the sweep
-    covers exactly the transcripts of all challenger strategies.
+    A state is the whole poset or the principal filter up(y) of a reply y, so
+    there are at most n + 1; each is expanded once, with at least one round
+    left, into the multiplicity of each next state, and plays are counted
+    round by round.  Every edge checks that up(y) is nonempty, holds x and
+    lies in V, but that holds by construction: y lies in V and below x, so
+    x is in up(y), inside V as V is up-closed.  The sweep's real content is
+    the play count, and that every move has a reply.
     """
     if not len(p):
         raise IllegalMove("empty poset has no nonempty opens")
-    edge_cache: dict[frozenset, list] = {}
-    count_cache: dict[tuple, int] = {}
-    all_won = True
-    invariants_ok = True
-
-    def edges(state: frozenset):
-        nonlocal all_won, invariants_ok
-        if state not in edge_cache:
-            out = []
-            for x, v in legal_beta_moves(p, state):
-                y = alpha_reply(p, x, v)
-                u = p.up_set(y)
-                if not u:
-                    all_won = False
-                if not (x in u and u <= v):
-                    invariants_ok = False
-                out.append((x, v, u))
-            edge_cache[state] = out
-        return edge_cache[state]
-
-    def count(state: frozenset, remaining: int) -> int:
-        if remaining == 0:
-            return 1
-        key = (state, remaining)
-        if key not in count_cache:
-            count_cache[key] = sum(count(u, remaining - 1) for _, _, u in edges(state))
-        return count_cache[key]
-
-    total = count(frozenset(p.elements), depth)
-    return ChoquetSweep(depth, total, all_won, invariants_ok, len(edge_cache))
+    up, down = p._up, p._down_rows()
+    edges: dict[int, dict[int, int]] = {}
+    all_won = invariants_ok = True
+    plays = {(1 << len(p)) - 1: 1}  # state -> number of plays that reach it
+    for _ in range(depth):
+        reached: dict[int, int] = {}
+        for state, ways in plays.items():
+            if state not in edges:
+                out = edges[state] = {}
+                for v in p._up_masks(state):
+                    for x in _bits(v):
+                        y = _reply(down, x, v)
+                        u = up[y] if y >= 0 else 0
+                        all_won = all_won and u != 0
+                        invariants_ok = invariants_ok and bool(u >> x & 1) and not u & ~v
+                        out[u] = out.get(u, 0) + 1
+            for u, k in edges[state].items():
+                reached[u] = reached.get(u, 0) + ways * k
+        plays = reached
+    return ChoquetSweep(depth, sum(plays.values()), all_won, invariants_ok, len(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,24 @@ def test_choquet(capsys, chain_file):
     assert records(out)[-2]["record"] == "play_verdict"
 
 
+def test_choquet_exhaustive_at_depth_2000(capsys, tmp_path):
+    path = tmp_path / "chain3.json"
+    leq = [[i <= j for j in range(3)] for i in range(3)]
+    path.write_text(json.dumps({"kind": "poset", "elements": ["a", "b", "c"], "leq": leq}))
+    code, out = run(capsys, "choquet", str(path), "--exhaustive", "--depth", "2000")
+    assert code == 0
+    # The states are up(a), up(b), up(c).  From up(a) the moves are (c, {c}),
+    # (b, {b,c}), (c, {b,c}), (a, up(a)), (b, up(a)), (c, up(a)), answered by
+    # c, b, b, a, a, a; from up(b) likewise (c, {c}), (b, {b,c}), (c, {b,c}).
+    step = [[3, 2, 1], [0, 2, 1], [0, 0, 1]]
+    row = [1, 0, 0]
+    for _ in range(2000):
+        row = [sum(row[i] * step[i][j] for i in range(3)) for j in range(3)]
+    sweep = records(out)[0]
+    assert sweep["plays"] == sum(row)
+    assert sweep["states"] == 3
+
+
 def test_export(capsys, chain_file, tmp_path):
     code, out = run(capsys, "export", chain_file)
     assert code == 0

@@ -104,6 +104,7 @@ RUNS = [
     ["qideal-model", "@diamond", "--depth", "2", "--factor", "3"],
     ["qideal-model", "@grid", "--depth", "2"],
     ["choquet", "@diamond", "--exhaustive", "--depth", "2"],
+    ["choquet", "@diamond", "--exhaustive", "--depth", "600"],
     ["choquet", "@diamond", "--depth", "3", "--seed", "2"],
     ["export", "@diamond"],
     ["replay", "@wb_witness"],
@@ -211,6 +212,14 @@ def _assert_exit_contract(run, where, path, value):
         recs = [json.loads(line) for line in out.splitlines()]
         assert _failure_shown(run[0], recs), (argv, recs)
     return code, err
+
+
+@pytest.mark.parametrize("run", RUNS, ids="_".join)
+def test_valid_runs_keep_exit_contract(run):
+    """Every run as written is valid input: it passes or fails, and it never
+    ends in a traceback."""
+    argv, code, out, err = _run_swapped(run, None, (), None)  # nothing swapped
+    assert code in (0, 1) and "Traceback" not in err, (argv, code, err)
 
 
 @settings(

@@ -222,3 +222,21 @@ def test_replay_rejects_an_approach_through_points_off_the_space(capsys, tmp_pat
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["verdict"] == "not_refuted"
     claim = [parse_ball(b) for b in BUG_WITNESS["claim"]]
     assert way_below(space, *claim).is_unknown
+
+
+def test_radius_shrink_needs_a_center_at_distance_zero_from_itself(capsys, tmp_path):
+    """d(a, a) = 1, so (a, 1), (a, 1/2), (a, 1/4) is no chain: (a, 1) <=+
+    (a, 1/2) needs d(a, a) <= 1/2.  The table breaks the axioms, and the
+    symmetric-table rule does not fire because prec fails, so the claim
+    stays unknown."""
+    space = FiniteTableSpace(["a", "b"], [[1, 5], [5, 0]])
+    b1, b2 = ball("b", 0), ball("a", 1)
+    assert _FAMILIES["radius_shrink"].start(space, "a") is None
+    assert way_below(space, b1, b2, depth=2).is_unknown
+    members = [("a", Fraction(1)), ("a", Fraction(1, 2)), ("a", Fraction(1, 4))]
+    w = WayBelowWitness("radius_shrink", "a", Fraction(0), 0, members, b1, b2)
+    assert not w.replay(space)
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(dict(w.to_json(), space=space.to_json())))
+    assert main(["replay", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["verdict"] == "not_refuted"

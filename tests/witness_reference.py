@@ -91,6 +91,8 @@ def _witness_valid(space: Space, w: WayBelowWitness) -> bool:
 
 
 def _shrink_witness(space, b1, b2, z: str, depth: int) -> Optional[WayBelowWitness]:
+    if space.dist(z, z) != 0:
+        return None  # (z, r) <=+ (z, r') needs d(z, z) <= r - r': no chain
     d2 = space.dist(b2.center, z)
     if d2.is_infinite or d2.as_fraction() > b2.radius:
         return None
