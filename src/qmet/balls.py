@@ -700,7 +700,7 @@ def _ball_rows(space: Space, radii: Sequence[Fraction], strict: bool = False) ->
     radii as ints over the common denominator of the radii and the space's
     int view, where every compare is made; ``leq_dplus`` and ``prec`` are
     the reference routes."""
-    den, table = space._int_view()
+    den, table = space._ints
     scale = lcm(den, *(r.denominator for r in radii))
     factor = scale // den
     scaled = [r.numerator * (scale // r.denominator) for r in radii]

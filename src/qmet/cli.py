@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import balls, lipschitz, posets, qideal, spaces
 from .errors import NotAnAbstractBasis, QmetError, expect_list, expect_object
@@ -278,15 +279,24 @@ def cmd_choquet(args, out: Emitter) -> int:
     p = _load_poset(args.poset)
     if args.exhaustive:
         sweep = posets.verify_all_plays(p, depth=args.depth)
-        out.emit(
-            {
-                "record": "choquet_sweep",
-                "plays": sweep.total_plays,
-                "all_won": sweep.all_won,
-                "invariants": sweep.invariants_ok,
-                "states": sweep.states_seen,
-            }
-        )
+        # a deep sweep's exact count can pass the interpreter's int-to-str
+        # digit limit (4300 digits by default); lift it for this record only
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            out.emit(
+                {
+                    "record": "choquet_sweep",
+                    "plays": sweep.total_plays,
+                    "all_won": sweep.all_won,
+                    "invariants": sweep.invariants_ok,
+                    "states": sweep.states_seen,
+                }
+            )
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
         ok = sweep.all_won and sweep.invariants_ok
     else:
         transcript = posets.choquet_play(p, "seeded", depth=args.depth, seed=args.seed)
@@ -386,95 +396,85 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("axioms", help="check the quasi-metric axioms")
     p.add_argument("space")
     common(p)
-    p.set_defaults(func=cmd_axioms)
 
     p = sub.add_parser("order", help="ball order laws, shift invariance, radius law")
     p.add_argument("space")
     p.add_argument("--shift", action="append", default=None)
     common(p, depth=5)
-    p.set_defaults(func=cmd_order)
 
     p = sub.add_parser("wb", help="three-valued way-below check on two balls")
     p.add_argument("space")
     p.add_argument("ball1")
     p.add_argument("ball2")
     common(p, seed=False, budget=False, depth=8)
-    p.set_defaults(func=cmd_wb)
 
     p = sub.add_parser("standard", help="shift-invariance probe for a directed family")
     p.add_argument("space")
     p.add_argument("probe", help="JSON file with family, sup and shift")
-    p.set_defaults(func=cmd_standard)
 
     p = sub.add_parser("centers", help="list the center points")
     p.add_argument("space")
-    p.set_defaults(func=cmd_centers)
 
     p = sub.add_parser("smyth", help="probe both halves of Smyth completeness")
     p.add_argument("space")
     common(p, depth=3)
-    p.set_defaults(func=cmd_smyth)
 
     p = sub.add_parser("envelope", help="largest Lipschitz map below a function")
     p.add_argument("space")
     p.add_argument("function")
     p.add_argument("--alpha", required=True)
-    p.set_defaults(func=cmd_envelope)
 
     p = sub.add_parser("dist", help="distance to the complement of an open")
     p.add_argument("space")
     p.add_argument("--open", required=True, help="comma-separated point names")
     p.add_argument("--point", default=None)
-    p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("thin", help="shrink an open set by a radius")
     p.add_argument("space")
     p.add_argument("--open", required=True)
     p.add_argument("--r", required=True)
-    p.set_defaults(func=cmd_thin)
 
     p = sub.add_parser("rideal", help="rounded-ideal completion of an abstract basis")
     p.add_argument("basis")
-    p.set_defaults(func=cmd_rideal)
 
     p = sub.add_parser("idl", help="ideal completion of a finite poset")
     p.add_argument("poset")
-    p.set_defaults(func=cmd_idl)
 
     p = sub.add_parser("qideal-model", help="build and check the two-layer ball model")
     p.add_argument("space")
     p.add_argument("--factor", default="2")
     p.add_argument("--dot", default=None)
     common(p, seed=False, budget=False, depth=5)
-    p.set_defaults(func=cmd_qideal_model)
 
     p = sub.add_parser("choquet", help="play the strong Choquet game")
     p.add_argument("poset")
     p.add_argument("--exhaustive", action="store_true")
     common(p, budget=False, depth=4)
-    p.set_defaults(func=cmd_choquet)
 
     p = sub.add_parser("export", help="DOT export of a poset's Hasse diagram")
     p.add_argument("poset")
     p.add_argument("--dot", default=None)
-    p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("replay", help="re-verify a serialized refutation witness")
     p.add_argument("witness")
-    p.set_defaults(func=cmd_replay)
 
     return parser
 
 
+# one parser serves every main() call in a process; parsing leaves it as it was
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     out = Emitter(args.pretty)
+    # by name at call time, so that a later wrap of a handler is the one run
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args, out)
+        return handler(args, out)
     except (QmetError, OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -9,7 +9,7 @@ distance r of x lies in U.  Everything here is exact rational arithmetic.
 
 The pair loops (``hat_membership``, ``dist_to_complement``,
 ``lipschitz_check`` and ``envelope``) read the space's integer view
-(``Space._int_view``): distances, function values, the slope and the lift
+(``Space._ints``): distances, function values, the slope and the lift
 radii are brought to one common denominator, every compare is an int
 compare, and ExtReals are built only for the results.  The ExtReal loops
 they replace are kept in ``tests/lipschitz_reference.py`` as the reference
@@ -79,7 +79,7 @@ def hat_membership(space: Space, b: FormalBall, u: OpenSet) -> bool:
     radius-zero slice stays inside u: the closed r-ball around the center
     must be contained in u."""
     i = space.index(b.center)
-    den, rows = space._int_view()
+    den, rows = space._ints
     r = as_fraction(b.radius)
     # d <= r on the int view: d * r.denominator <= r.numerator * den
     bound = r.numerator * den
@@ -109,7 +109,7 @@ def dist_to_complement(space: Space, x: str, u: OpenSet) -> ExtReal:
     int view and returned from the table.
     """
     i = space.index(x)
-    row = space._int_view()[1][i]
+    row = space._ints[1][i]
     outside = [j for j, y in enumerate(space.points) if y not in u and row[j] is not None]
     if not outside:
         return INF
@@ -228,7 +228,7 @@ def _value_gaps(space: Space, f: Union[LscFunction, dict], codomain: Optional[Sp
         if p not in f:
             raise QmetError(f"mapping missing value at {p}")
         images.append(codomain.index(f[p]))
-    den, rows = codomain._int_view()
+    den, rows = codomain._ints
     return den, [[rows[a][b] for b in images] for a in images]
 
 
@@ -257,7 +257,7 @@ def lipschitz_check(
     if alpha < 0:
         raise QmetError("alpha must be non-negative")
     gden, gaps = _value_gaps(space, f, codomain)
-    den, rows = space._int_view()
+    den, rows = space._ints
     scale = lcm(den, gden, *(r.denominator for r in LIFT_RADII))
     dmul, gmul = scale // den, scale // gden
     p, q = alpha.numerator, alpha.denominator
@@ -315,7 +315,7 @@ def envelope(space: Space, f: LscFunction, alpha) -> LscFunction:
     if alpha < 0:
         raise QmetError("alpha must be non-negative")
     fden, fv = int_scale([f(y) for y in space.points])
-    den, rows = space._int_view()
+    den, rows = space._ints
     scale = lcm(den, fden)
     p, q = alpha.numerator, alpha.denominator
     fmul, pmul = scale // fden * q, scale // den * p

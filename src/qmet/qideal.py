@@ -171,7 +171,7 @@ def quasi_ideal_model_check(m: ModelPoset) -> ModelCheckReport:
         longest += 1
     bound = m.depth + 1
 
-    _, dist = m.space._int_view()
+    _, dist = m.space._ints
     limit_iso_ok = _limit_masks(m) == [
         _mask_of(j for j, d in enumerate(row) if d == 0) for row in dist
     ]

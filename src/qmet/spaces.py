@@ -1,13 +1,15 @@
 """Quasi-metric spaces: axiom checking and a gallery of generator spaces.
 
-A space is a finite named carrier plus an exact distance table.  The table
-kinds either tabulate the distance directly or compute it from a closed
-formula.  The formula-driven kinds are finite windows onto infinite ambient
-spaces (the one-way real line, the Sorgenfrey line, a unit interval with a
-skewed origin, a Sorgenfrey segment with two tail points).  Each writes its
-formula once, as ``ambient_dist`` on point values: it fills the table over
-the carrier's values, and it serves the ball machinery for witness families
-whose members fall outside the carrier.
+A space is a finite named carrier plus an exact distance table, stored once
+as ints (``Space._ints``).  The table kinds either tabulate the distance
+directly or compute it from a closed formula.  The formula-driven kinds are
+finite windows onto infinite ambient spaces (the one-way real line, the
+Sorgenfrey line, a unit interval with a skewed origin, a Sorgenfrey segment
+with two tail points).  Each writes its formula once, on values at any one
+scale: its int table is the formula over the carrier's values brought to one
+denominator, and ``ambient_dist``, the formula at scale 1, serves the ball
+machinery for witness families whose members fall outside the carrier.
+``dist`` and ``to_json`` read ExtReals derived from the ints on first use.
 """
 
 from __future__ import annotations
@@ -16,11 +18,13 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from operator import sub
 from typing import Optional, Sequence
 
 from .errors import QmetError, UnknownPoint, expect_list, expect_names, expect_object, is_square
-from .extreal import INF, ZERO, ExtReal, as_fraction, ext, int_scale
+from .extreal import INF, ZERO, ExtReal, as_fraction, ext
 from .posets import FinitePoset
 
 
@@ -52,26 +56,19 @@ def point_label(value) -> str:
     return "inf" if value is INF_POINT else str(value)
 
 
-def real_line_dist(x, y) -> ExtReal:
-    """One-way distance on the extended real line.
-
-    Zero when x <= y; x - y when x descends to y; anything except the top
-    point is infinitely far from below the top point.
-    """
-    if x is INF_POINT:
-        return ZERO if y is INF_POINT else INF
-    if y is INF_POINT:
-        return ZERO
-    return ExtReal(x - y) if x > y else ZERO
-
-
-def sorgenfrey_dist(x: Fraction, y: Fraction) -> ExtReal:
-    """Rightward-only distance: y - x going up, infinite going down."""
-    return ExtReal(y - x) if x <= y else INF
+def _scaled(fracs: list) -> tuple[int, list]:
+    """(D, ints): D is the lcm of the denominators of the Fractions in fracs,
+    and each Fraction times D as an int; None and INF_POINT pass through."""
+    den = lcm(*(f.denominator for f in fracs if f is not None and f is not INF_POINT))
+    return den, [f if f is None or f is INF_POINT else f.numerator * den // f.denominator
+                 for f in fracs]
 
 
 class Space:
-    """Finite carrier with an exact quasi-metric table."""
+    """Finite carrier with an exact quasi-metric table, stored as ``_ints`` =
+    (D, rows): rows[i][j] is d(i, j) * D as an int, None for inf.  The
+    ball-grid kernel, the axiom check and the ``qmet.lipschitz`` loops
+    compare these ints, not ExtReals."""
 
     kind = "abstract"
     # Facts the formal-ball layer (qmet.balls) reads about the kind:
@@ -84,18 +81,28 @@ class Space:
     non_center_points: frozenset = frozenset()
     witness_families: tuple = ("radius_shrink",)
     approach_floor: Optional[Fraction] = None
+    # A formula kind's _formula(x, y, *params) is d(x, y) at the scale of its
+    # arguments, None for inf; _params are the params at scale 1.
+    _params: tuple = ()
+    _ints: tuple[int, list]  # set by each kind's constructor
 
     def __init__(self, points: Sequence[str]):
         self._points = tuple(points)
         if len(set(self._points)) != len(self._points):
             raise QmetError("duplicate point names")
         self._index = {p: i for i, p in enumerate(self._points)}
-        self._table: list[list[ExtReal]] = []
-        self._ints: Optional[tuple] = None
 
-    def _fill_table(self):
-        """The table of a formula kind: its ambient distance over its values."""
-        self._table = [[self.ambient_dist(a, b) for b in self._values] for a in self._values]
+    def ambient_dist(self, x, y) -> ExtReal:
+        """The formula on ambient values, on or off the carrier."""
+        d = self._formula(x, y, *self._params)
+        return INF if d is None else ExtReal(d)
+
+    def _tabulate(self):
+        """The int table of a formula kind: the formula over its scaled values."""
+        den, flat = _scaled([*self._params, *self._values])
+        params, values = flat[:len(self._params)], flat[len(self._params):]
+        formula = self._formula
+        self._ints = (den, [[formula(x, y, *params) for y in values] for x in values])
 
     def value(self, name: str):
         """The ambient value of a point of a formula kind."""
@@ -114,23 +121,19 @@ class Space:
         except KeyError:
             raise UnknownPoint(name) from None
 
+    @cached_property
+    def _table(self) -> list:
+        """The table as ExtReals, derived from the int rows on first use."""
+        den, rows = self._ints
+        values = {v for row in rows for v in row}
+        ext_of = {v: INF if v is None else ExtReal(Fraction(v, den)) for v in values}
+        return [[ext_of[v] for v in row] for row in rows]
+
     def dist(self, x: str, y: str) -> ExtReal:
         return self._table[self.index(x)][self.index(y)]
 
     def dist_by_index(self, i: int, j: int) -> ExtReal:
         return self._table[i][j]
-
-    def _int_view(self) -> tuple[int, list]:
-        """(D, rows): D is the lcm of the denominators of the finite
-        entries, and rows[i][j] is d(i, j) * D as an int, None for inf.
-        Built once per space; the ball-grid kernel, the axiom check and the
-        pair loops of ``qmet.lipschitz`` compare these exact ints instead of
-        ExtReals."""
-        if self._ints is None:
-            n = len(self._table)
-            den, flat = int_scale([v for row in self._table for v in row])
-            self._ints = (den, [flat[i * n:(i + 1) * n] for i in range(n)])
-        return self._ints
 
     def specialization_leq(self, x: str, y: str) -> bool:
         """x is below y in the specialization order when d(x, y) = 0."""
@@ -151,7 +154,8 @@ class FiniteTableSpace(Space):
         n = len(self._points)
         if not is_square(table, n):
             raise QmetError("distance table shape mismatch")
-        self._table = [[ext(v) for v in row] for row in table]
+        den, flat = _scaled([ext(v)._frac for row in table for v in row])
+        self._ints = (den, [flat[i * n:(i + 1) * n] for i in range(n)])
         self._symmetric: Optional[bool] = None
 
     @property
@@ -160,11 +164,9 @@ class FiniteTableSpace(Space):
 
     def is_symmetric(self) -> bool:
         if self._symmetric is None:
-            n = len(self._points)
+            rows = self._ints[1]
             self._symmetric = all(
-                self._table[i][j] == self._table[j][i]
-                for i in range(n)
-                for j in range(i + 1, n)
+                rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i)
             )
         return self._symmetric
 
@@ -180,7 +182,7 @@ class FiniteTableSpace(Space):
         """|x - y| on a list of rationals; handy symmetric test space."""
         vals = [as_fraction(v) for v in values]
         points = [str(v) for v in vals]
-        table = [[ExtReal(abs(a - b)) for b in vals] for a in vals]
+        table = [[abs(a - b) for b in vals] for a in vals]
         return cls(points, table)
 
 
@@ -199,13 +201,19 @@ class RealGridSpace(Space):
             v if v is INF_POINT else as_fraction(v) for v in values
         ]
         super().__init__([point_label(v) for v in self._values])
-        self._fill_table()
+        self._tabulate()
         if self.contains_infinity():
             # a divergent climb has its supremum at the top point
             self.non_center_points = frozenset(["inf"])
             self.witness_families = ("radius_shrink", "divergent")
 
-    ambient_dist = staticmethod(real_line_dist)
+    def _formula(self, x, y):
+        # zero going up, x - y going down, and inf is infinitely far above
+        if x is INF_POINT:
+            return 0 if y is INF_POINT else None
+        if y is INF_POINT:
+            return 0
+        return x - y if x > y else 0
 
     def contains_infinity(self) -> bool:
         return any(v is INF_POINT for v in self._values)
@@ -224,11 +232,13 @@ class SorgenfreyGridSpace(Space):
     def __init__(self, values: Sequence):
         self._values = [as_fraction(v) for v in values]
         super().__init__([str(v) for v in self._values])
-        self._fill_table()
+        self._tabulate()
         # every point is the supremum of a climb from its left
         self.non_center_points = frozenset(self._points)
 
-    ambient_dist = staticmethod(sorgenfrey_dist)
+    def _formula(self, x, y):
+        # rightward only: y - x going up, infinite going down
+        return y - x if x <= y else None
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "values": [str(v) for v in self._values]}
@@ -244,9 +254,8 @@ class PosetSpace(Space):
         self.poset = poset
         super().__init__(poset.elements)
         n = len(self._points)
-        self._table = [
-            [ZERO if poset.leq_by_index(i, j) else INF for j in range(n)] for i in range(n)
-        ]
+        ups = [poset.up_mask(i) for i in range(n)]
+        self._ints = (1, [[0 if up >> j & 1 else None for j in range(n)] for up in ups])
 
     def to_json(self) -> dict:
         return self.poset.to_json()
@@ -275,14 +284,13 @@ class SkewedIntervalSpace(Space):
         if Fraction(0) not in self._values:
             raise QmetError("grid must contain 0")
         super().__init__([str(v) for v in self._values])
-        self._fill_table()
+        self._params = (self.a,)
+        self._tabulate()
 
-    def ambient_dist(self, x: Fraction, y: Fraction) -> ExtReal:
+    def _formula(self, x, y, a):
         if x == y or y == 0:
-            return ZERO
-        if x == 0:
-            return ExtReal(self.a)
-        return ExtReal(abs(x - y))
+            return 0
+        return a if x == 0 else abs(x - y)
 
     def to_json(self) -> dict:
         return {
@@ -307,9 +315,6 @@ class TailedSorgenfreySpace(Space):
     witness_families = ("radius_shrink", "left_approach")
     approach_floor = Fraction(0)  # a left approach climbs inside the segment
 
-    LOW2 = Fraction(-2)
-    LOW1 = Fraction(-1)
-
     def __init__(self, a, b, c, values: Sequence):
         self.a = as_fraction(a)
         self.b = as_fraction(b)
@@ -323,25 +328,22 @@ class TailedSorgenfreySpace(Space):
             raise QmetError("grid values must lie in (0, 1]")
         if Fraction(1) not in grid:
             raise QmetError("grid must contain 1")
-        self._values = [self.LOW2, self.LOW1] + grid
+        self._values = [Fraction(-2), Fraction(-1)] + grid
         super().__init__([str(v) for v in self._values])
-        self._fill_table()
+        self._params = (self.a, self.b, self.c, Fraction(1))
+        self._tabulate()
 
-    def ambient_dist(self, x: Fraction, y: Fraction) -> ExtReal:
+    def _formula(self, x, y, a, b, c, one):  # one: the top point 1 at that scale
         if x == y:
-            return ZERO
+            return 0
         if x > y:
-            return INF
+            return None
         if x > 0:
-            return ExtReal(y - x)
-        if x == self.LOW1:
-            return ExtReal(self.a) if y == 1 else INF
-        # x == -2
-        if y == self.LOW1:
-            return ExtReal(self.b)
-        if y == 1:
-            return ExtReal(self.c)
-        return INF
+            return y - x
+        if x == -one:
+            return a if y == one else None
+        # x is -2
+        return b if y == -one else c if y == one else None
 
     def to_json(self) -> dict:
         return {
@@ -391,22 +393,18 @@ def check_axioms(space: Space, sample_budget: int = 200_000, seed: int = 0) -> A
     """
     pts = space.points
     n = len(pts)
-    _, rows = space._int_view()
+    _, rows = space._ints
     violations = [
         AxiomViolation("self_distance", (pts[i],), f"d(x,x) = {space.dist_by_index(i, i)}")
         for i in range(n)
         if rows[i][i] != 0
+    ] + [
+        AxiomViolation("identity_of_indiscernibles", (pts[i], pts[j]),
+                       "d(x,y) = d(y,x) = 0 for distinct points")
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rows[i][j] == 0 and rows[j][i] == 0
     ]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] == 0 and rows[j][i] == 0:
-                violations.append(
-                    AxiomViolation(
-                        "identity_of_indiscernibles",
-                        (pts[i], pts[j]),
-                        "d(x,y) = d(y,x) = 0 for distinct points",
-                    )
-                )
 
     # inf as an int above every sum of two finite entries, so that
     # d(x,z) > d(x,y) + d(y,z) is one int compare with the ExtReal meaning

@@ -1,6 +1,6 @@
 """The integer ball-grid kernel and the int-view axiom check against the
 reference routes: pairwise ``leq_dplus`` / ``prec`` for the rows, and the
-ExtReal triangle loop below for ``check_axioms``."""
+ExtReal triangle loop of ``tests/table_reference.py`` for ``check_axioms``."""
 
 import random
 from fractions import Fraction
@@ -19,8 +19,6 @@ from qmet.balls import (
 )
 from qmet.extreal import INF, ZERO, ExtReal
 from qmet.spaces import (
-    AxiomReport,
-    AxiomViolation,
     FiniteTableSpace,
     RealGridSpace,
     SkewedIntervalSpace,
@@ -30,6 +28,7 @@ from qmet.spaces import (
 )
 
 from conftest import dyadics, random_table_space
+from table_reference import axioms_by_extreal
 
 FIXTURES = [
     "metric_line4",
@@ -43,52 +42,6 @@ FIXTURES = [
 ]
 
 TINY = Fraction(1, 2**100)
-
-
-def axioms_by_extreal(space, sample_budget=200_000, seed=0):
-    """``check_axioms`` as one ExtReal compare per triple."""
-    pts = space.points
-    n = len(pts)
-    violations = []
-    for i in range(n):
-        d = space.dist_by_index(i, i)
-        if d != ZERO:
-            violations.append(AxiomViolation("self_distance", (pts[i],), f"d(x,x) = {d}"))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if space.dist_by_index(i, j) == ZERO and space.dist_by_index(j, i) == ZERO:
-                violations.append(
-                    AxiomViolation(
-                        "identity_of_indiscernibles",
-                        (pts[i], pts[j]),
-                        "d(x,y) = d(y,x) = 0 for distinct points",
-                    )
-                )
-
-    def triangle(i, j, k):
-        lhs = space.dist_by_index(i, k)
-        rhs = space.dist_by_index(i, j) + space.dist_by_index(j, k)
-        if lhs > rhs:
-            violations.append(
-                AxiomViolation(
-                    "triangle",
-                    (pts[i], pts[j], pts[k]),
-                    f"d(x,z) = {lhs} > {rhs} = d(x,y) + d(y,z)",
-                )
-            )
-
-    if n**3 <= sample_budget:
-        mode, used_seed, checked = "exhaustive", None, n**3
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    triangle(i, j, k)
-    else:
-        mode, used_seed, checked = "sampled", seed, sample_budget
-        rng = random.Random(seed)
-        for _ in range(sample_budget):
-            triangle(rng.randrange(n), rng.randrange(n), rng.randrange(n))
-    return AxiomReport(not violations, violations, mode, used_seed, sample_budget, checked)
 
 
 def raw_table(n, seed):

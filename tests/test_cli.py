@@ -315,22 +315,48 @@ def test_choquet(capsys, chain_file):
     assert records(out)[-2]["record"] == "play_verdict"
 
 
-def test_choquet_exhaustive_at_depth_2000(capsys, tmp_path):
+def _chain3_file(tmp_path):
     path = tmp_path / "chain3.json"
     leq = [[i <= j for j in range(3)] for i in range(3)]
     path.write_text(json.dumps({"kind": "poset", "elements": ["a", "b", "c"], "leq": leq}))
-    code, out = run(capsys, "choquet", str(path), "--exhaustive", "--depth", "2000")
-    assert code == 0
-    # The states are up(a), up(b), up(c).  From up(a) the moves are (c, {c}),
-    # (b, {b,c}), (c, {b,c}), (a, up(a)), (b, up(a)), (c, up(a)), answered by
-    # c, b, b, a, a, a; from up(b) likewise (c, {c}), (b, {b,c}), (c, {b,c}).
+    return str(path)
+
+
+def _chain3_plays(depth):
+    """The plays of the given depth on the chain a < b < c, by a transfer
+    matrix.  The states are up(a), up(b), up(c).  From up(a) the moves are
+    (c, {c}), (b, {b,c}), (c, {b,c}), (a, up(a)), (b, up(a)), (c, up(a)),
+    answered by c, b, b, a, a, a; from up(b) likewise (c, {c}), (b, {b,c}),
+    (c, {b,c})."""
     step = [[3, 2, 1], [0, 2, 1], [0, 0, 1]]
     row = [1, 0, 0]
-    for _ in range(2000):
+    for _ in range(depth):
         row = [sum(row[i] * step[i][j] for i in range(3)) for j in range(3)]
+    return sum(row)
+
+
+def test_choquet_exhaustive_at_depth_2000(capsys, tmp_path):
+    code, out = run(capsys, "choquet", _chain3_file(tmp_path), "--exhaustive", "--depth", "2000")
+    assert code == 0
     sweep = records(out)[0]
-    assert sweep["plays"] == sum(row)
+    assert sweep["plays"] == _chain3_plays(2000)
     assert sweep["states"] == 3
+
+
+def test_choquet_count_past_the_int_digit_limit(capsys, tmp_path):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    code, out = run(capsys, "choquet", _chain3_file(tmp_path), "--exhaustive", "--depth", "9500")
+    assert code == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    want = _chain3_plays(9500)
+    if limit:
+        sys.set_int_max_str_digits(0)  # to read and print the 4,500-digit count
+    try:
+        assert len(str(want)) > 4300
+        assert records(out)[0]["plays"] == want
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_export(capsys, chain_file, tmp_path):
@@ -355,6 +381,30 @@ def test_determinism_byte_identical(capsys, real_grid_file):
     _, out1 = run(capsys, "smyth", real_grid_file, "--seed", "3")
     _, out2 = run(capsys, "smyth", real_grid_file, "--seed", "3")
     assert out1 == out2
+
+
+def test_reused_parser_carries_no_state(capsys, skew_bad):
+    from qmet import cli
+
+    run(capsys, "order", skew_bad, "--depth", "2", "--shift", "1/2")
+    code, out = run(capsys, "order", skew_bad, "--depth", "2")
+    assert cli._parser().parse_args(["order", skew_bad]).shift is None
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = subprocess.run(
+        [sys.executable, "-m", "qmet.cli", "order", skew_bad, "--depth", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
+def test_handler_patched_after_a_first_call_is_the_one_run(capsys, monkeypatch, line_file):
+    from qmet import cli
+
+    run(capsys, "centers", line_file)
+    seen = []
+    monkeypatch.setattr(cli, "cmd_centers", lambda args, out: seen.append(args.space) or 7)
+    assert main(["centers", line_file]) == 7
+    assert seen == [line_file]
 
 
 def test_pretty_mode(capsys, real_grid_file):
