@@ -53,6 +53,11 @@ REFUTED = "refuted"
 UNKNOWN = "unknown"
 
 
+def _nonnegative(radius: Fraction) -> None:
+    if radius < 0:
+        raise QmetError(f"ball radius must be non-negative, got {radius}")
+
+
 @dataclass(frozen=True)
 class FormalBall:
     center: str
@@ -61,18 +66,14 @@ class FormalBall:
     def __post_init__(self):
         if isinstance(self.radius, float):
             raise QmetError("ball radii are exact rationals, not floats")
-        if self.radius < 0:
-            raise QmetError(f"ball radius must be non-negative, got {self.radius}")
+        _nonnegative(self.radius)
 
     def __str__(self):
         return f"({self.center}, {self.radius})"
 
 
 def ball(center: str, radius) -> FormalBall:
-    r = as_fraction(radius)
-    if r < 0:
-        raise QmetError(f"ball radius must be non-negative, got {r}")
-    return FormalBall(center, r)
+    return FormalBall(center, as_fraction(radius))
 
 
 def _members_from_json(members) -> list:
@@ -345,7 +346,7 @@ def _refute_way_below(space, b1, b2, depth: int) -> Optional[WayBelowWitness]:
         family = _FAMILIES[kind]
         for z in space.points:
             n0 = family.start(space, z)
-            if n0 is None or n0 > depth:  # the bounded search starts no deeper than depth
+            if n0 is None:
                 continue
             d2 = space.dist(b2.center, z)
             if d2.is_infinite or d2.as_fraction() > b2.radius:
@@ -396,8 +397,13 @@ def v_relation(space: Space, x: str, y: str) -> ExtReal:
 
 
 def center_point_check(space: Space, x: str) -> bool:
-    """x is a center point exactly when v(x, .) agrees with d(x, .)."""
-    return all(v_relation(space, x, y) == space.dist(x, y) for y in space.points)
+    """x is a center point exactly when v(x, .) agrees with d(x, .).  They
+    differ only at v(x, x) = inf for x in non_center_points, so in closed
+    form: x is no non-center point, or d(x, x) is already inf."""
+    space.index(x)
+    if space.way_below_rule is None:
+        raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
+    return x not in space.non_center_points or space.dist(x, x).is_infinite
 
 
 @dataclass
@@ -417,16 +423,12 @@ def smyth_probe(
     space: Space, depth: int = 3, sample_budget: int = 40_000, seed: int = 0
 ) -> SmythReport:
     """Probe both halves of the Smyth-completeness criterion: every point a
-    center point, and no gap between strict approximation and way-below."""
+    center point, and no gap between strict approximation and way-below.
+    Past the budget, pairs are drawn with replacement and each gap hit is
+    listed once, in the order first drawn."""
     if way_below_oracle(space) is None:
         raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
-    # v and d differ only at v(x, x) = inf for x in non_center_points, so
-    # these are the non-center points wherever d(x, x) is finite;
-    # center_point_check is the pairwise reference
-    non_centers = [
-        x for i, x in enumerate(space.points)
-        if x in space.non_center_points and space.dist_by_index(i, i).is_finite
-    ]
+    non_centers = [x for x in space.points if not center_point_check(space, x)]
     radii = [Fraction(j) for j in range(4)] + [_dyadic(k) for k in range(1, depth + 1)]
     balls, strict, _ = _ball_grid(space, radii, strict=True)
     m, nb = len(radii), len(balls)
@@ -445,10 +447,10 @@ def smyth_probe(
         gaps = []
         if any(gap_rows):  # otherwise no draw can find a gap
             rng = random.Random(seed)
-            for _ in range(sample_budget):
-                i, j = divmod(rng.randrange(nb * nb), nb)
-                if gap_rows[i] >> j & 1:
-                    gaps.append((balls[i], balls[j]))
+            draws = (divmod(rng.randrange(nb * nb), nb) for _ in range(sample_budget))
+            # each gap once, in the order it was first drawn
+            hits = dict.fromkeys((i, j) for i, j in draws if gap_rows[i] >> j & 1)
+            gaps = [(balls[i], balls[j]) for i, j in hits]
     return SmythReport(non_centers, gaps, mode, used_seed, depth)
 
 
@@ -456,15 +458,26 @@ def smyth_probe(
 # Scripted families and the standardness probe
 
 
-class GeometricBallFamily:
+class _BallFamily:
+    """A directed ball family, asked one question: ``max_upper_radius(w,
+    shift)``, the largest u such that (w, u) bounds every member once every
+    member's radius is raised by shift, None where there is none."""
+
+    def is_upper_bound(self, b: FormalBall, shift=0) -> bool:
+        cap = self.max_upper_radius(b.center, shift)
+        return cap is not None and b.radius <= cap
+
+
+class GeometricBallFamily(_BallFamily):
     """The scripted directed family (2^-m, 2^-m + s), m in N, over a skewed
     interval space, together with its exact upper-bound rule.
 
     A ball (x, r) dominates every member of the family precisely when
-    x + r <= s; in particular for s = 0 the sole upper bound is (0, 0).
-    The rule never mentions the skew constant because no member is centered
-    at the origin.  It is exact; ``validate_against_truncation`` is the
-    tests' brute-force reference for it.
+    x + r <= s; in particular for s = 0 the sole upper bound is (0, 0).  A
+    shift of every radius shifts s.  The rule never mentions the skew
+    constant because no member is centered at the origin.  It is exact;
+    ``validate_against_truncation`` is the tests' brute-force reference for
+    it.
     """
 
     no_escape = (UNKNOWN, "no escaping upper bound on the carrier grid")
@@ -486,16 +499,9 @@ class GeometricBallFamily:
     def witness_members(self) -> list:
         return self.truncation(8)
 
-    def is_upper_bound(self, b: FormalBall) -> bool:
-        return self.space.value(b.center) + b.radius <= self.s
-
-    def max_upper_radius(self, w: str) -> Optional[Fraction]:
-        """The largest u with (w, u) an upper bound, None when there is none."""
-        cap = self.s - self.space.value(w)
+    def max_upper_radius(self, w: str, shift=0) -> Optional[Fraction]:
+        cap = self.s + shift - self.space.value(w)
         return cap if cap >= 0 else None
-
-    def shifted(self, a: Fraction) -> "GeometricBallFamily":
-        return GeometricBallFamily(self.space, self.s + a)
 
     def dominates_member(self, b: FormalBall, m: int) -> bool:
         c, r = self.member(m)
@@ -527,7 +533,7 @@ class GeometricBallFamily:
         return {"kind": "geometric", "s": str(self.s)}
 
 
-class FiniteBallFamily:
+class FiniteBallFamily(_BallFamily):
     """A finite family of carrier balls.  Its upper bounds at a point w are
     the balls (w, u) with u up to a cap, so a probe over the carrier decides.
 
@@ -544,26 +550,18 @@ class FiniteBallFamily:
     def witness_members(self) -> list:
         return [(b.center, b.radius) for b in self.members]
 
-    def is_upper_bound(self, b: FormalBall) -> bool:
-        return all(leq_dplus(self.space, m, b) for m in self.members)
-
-    def max_upper_radius(self, w: str) -> Optional[Fraction]:
-        """The largest u with (w, u) an upper bound, None when there is none."""
+    def max_upper_radius(self, w: str, shift=0) -> Optional[Fraction]:
+        """Each member (x, r) leaves the room r + shift - d(x, w) at w."""
         cap = None
         for b in self.members:
             d = self.space.dist(b.center, w)
             if d.is_infinite:
                 return None
-            room = b.radius - d.as_fraction()
+            room = b.radius + shift - d.as_fraction()
             if room < 0:
                 return None
             cap = room if cap is None else min(cap, room)
         return cap
-
-    def shifted(self, a: Fraction) -> "FiniteBallFamily":
-        return FiniteBallFamily(
-            self.space, [FormalBall(b.center, b.radius + a) for b in self.members]
-        )
 
     def describe(self) -> dict:
         return {"kind": "finite"}
@@ -600,11 +598,17 @@ class StandardnessWitness:
         )
 
     def replay(self, space: Space) -> bool:
+        """The candidate bounds the shifted family and misses the target.  A
+        shift that takes the offset s or a member radius below 0 is bad input."""
         if self.family.get("kind") == "geometric":
             fam = GeometricBallFamily(space, self.family["s"])
+            if fam.s + self.shift < 0:
+                raise QmetError("offset s must be non-negative")
         else:
             fam = FiniteBallFamily(space, [FormalBall(c, r) for c, r in self.members])
-        return fam.shifted(self.shift).is_upper_bound(self.candidate) and not leq_dplus(
+            for b in fam.members:
+                _nonnegative(b.radius + self.shift)
+        return fam.is_upper_bound(self.candidate, self.shift) and not leq_dplus(
             space, self.target, self.candidate
         )
 
@@ -643,23 +647,27 @@ def standardness_probe(
         family = FiniteBallFamily(space, members)
     if not family.is_upper_bound(known_sup):
         raise InvalidSup(f"{known_sup} does not dominate the family")
-    for w in space.points:
-        cap = family.max_upper_radius(w)
-        if cap is not None and not leq_dplus(space, known_sup, FormalBall(w, cap)):
-            raise InvalidSup(f"{known_sup} is not least: ({w}, {cap}) escapes it")
+    escape = _escaping_bound(space, family, known_sup)
+    if escape is not None:
+        raise InvalidSup(f"{known_sup} is not least: {escape} escapes it")
     if shift == 0:
         return Verdict(HOLDS, justification="identity shift")
     target = FormalBall(known_sup.center, known_sup.radius + shift)
-    shifted = family.shifted(shift)
-    for w in space.points:
-        cap = shifted.max_upper_radius(w)
-        if cap is not None and not leq_dplus(space, target, FormalBall(w, cap)):
-            witness = StandardnessWitness(
-                family.describe(), shift, FormalBall(w, cap), target,
-                family.witness_members(),
-            )
-            return Verdict(REFUTED, justification="escaping upper bound", witness=witness)
-    return Verdict(*family.no_escape)
+    escape = _escaping_bound(space, family, target, shift)
+    if escape is None:
+        return Verdict(*family.no_escape)
+    witness = StandardnessWitness(
+        family.describe(), shift, escape, target, family.witness_members()
+    )
+    return Verdict(REFUTED, justification="escaping upper bound", witness=witness)
+
+
+def _escaping_bound(space: Space, family: _BallFamily, sup: FormalBall, shift=0):
+    """Over the carrier points w in order, the first largest upper bound
+    (w, u) of the shifted family that does not dominate sup, or None."""
+    bounds = (FormalBall(w, u) for w in space.points
+              if (u := family.max_upper_radius(w, shift)) is not None)
+    return next((b for b in bounds if not leq_dplus(space, sup, b)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -700,6 +708,8 @@ def _ball_rows(space: Space, radii: Sequence[Fraction], strict: bool = False) ->
     radii as ints over the common denominator of the radii and the space's
     int view, where every compare is made; ``leq_dplus`` and ``prec`` are
     the reference routes."""
+    for r in radii:
+        _nonnegative(r)
     den, table = space._ints
     scale = lcm(den, *(r.denominator for r in radii))
     factor = scale // den

@@ -2,9 +2,10 @@
 
 Loads spaces, posets, bases and functions from JSON files, dispatches the
 library checks, and emits line-delimited JSON records ending in a summary
-record.  Exit codes: 0 for pass/holds (including unknown verdicts, which
-carry no witness), 1 for refuted/fail with the witness printed, 2 for usage
-or parse errors.  Identical inputs and seeds produce byte-identical output.
+record.  The exit code follows from the summary's verdict: 1 for refuted
+or fail, with the witness printed, and 0 for every other verdict (pass,
+holds, and unknown, which carries no witness); 2 for usage or parse errors.
+Identical inputs and seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -51,11 +52,16 @@ def _parse_points(arg: str) -> list:
     return [p.strip() for p in arg.split(",") if p.strip()]
 
 
-def _summary(out: Emitter, command: str, verdict: str, code: int, **extra) -> int:
-    rec = {"record": "summary", "command": command, "verdict": verdict, "exit": code}
-    rec.update(extra)
-    out.emit(rec)
+def _summary(out: Emitter, command: str, verdict: str, **extra) -> int:
+    code = 1 if verdict in ("fail", "refuted") else 0
+    out.emit({"record": "summary", "command": command, "verdict": verdict, "exit": code, **extra})
     return code
+
+
+def _witness(out: Emitter, space: spaces.Space, verdict: balls.Verdict):
+    """A refuted verdict's witness, with the space it lives in."""
+    if verdict.is_refuted:
+        out.emit({"record": "witness", "space": space.to_json(), **verdict.witness.to_json()})
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +80,6 @@ def cmd_axioms(args, out: Emitter) -> int:
         out,
         "axioms",
         verdict,
-        0 if report.passed else 1,
         mode=report.mode,
         seed=report.seed,
         budget=report.budget,
@@ -107,7 +112,6 @@ def cmd_order(args, out: Emitter) -> int:
         out,
         "order",
         "pass" if ok else "fail",
-        0 if ok else 1,
         balls=report.ball_count,
         families=radius_report.families_checked,
         seed=args.seed,
@@ -119,15 +123,11 @@ def cmd_wb(args, out: Emitter) -> int:
     b1 = balls.parse_ball(args.ball1)
     b2 = balls.parse_ball(args.ball2)
     verdict = balls.way_below(space, b1, b2, depth=args.depth)
-    if verdict.is_refuted:
-        rec = {"record": "witness", "space": space.to_json()}
-        rec.update(verdict.witness.to_json())
-        out.emit(rec)
+    _witness(out, space, verdict)
     return _summary(
         out,
         "wb",
         verdict.status,
-        1 if verdict.is_refuted else 0,
         justification=verdict.justification,
         depth=args.depth,
         claim=[str(b1), str(b2)],
@@ -145,17 +145,8 @@ def cmd_standard(args, out: Emitter) -> int:
     sup = balls.parse_ball(probe["sup"])
     shift = as_fraction(probe["shift"])
     verdict = balls.standardness_probe(space, family, sup, shift)
-    if verdict.is_refuted:
-        rec = {"record": "witness", "space": space.to_json()}
-        rec.update(verdict.witness.to_json())
-        out.emit(rec)
-    return _summary(
-        out,
-        "standard",
-        verdict.status,
-        1 if verdict.is_refuted else 0,
-        justification=verdict.justification,
-    )
+    _witness(out, space, verdict)
+    return _summary(out, "standard", verdict.status, justification=verdict.justification)
 
 
 def cmd_centers(args, out: Emitter) -> int:
@@ -163,7 +154,7 @@ def cmd_centers(args, out: Emitter) -> int:
     centers = [x for x in space.points if balls.center_point_check(space, x)]
     for x in centers:
         out.emit({"record": "center", "point": x})
-    return _summary(out, "centers", "pass", 0, centers=centers)
+    return _summary(out, "centers", "pass", centers=centers)
 
 
 def cmd_smyth(args, out: Emitter) -> int:
@@ -175,15 +166,8 @@ def cmd_smyth(args, out: Emitter) -> int:
         out.emit({"record": "non_center", "point": x})
     for a, b in report.gap_pairs:
         out.emit({"record": "approximation_gap", "pair": [str(a), str(b)]})
-    ok = report.consistent
-    return _summary(
-        out,
-        "smyth",
-        "pass" if ok else "fail",
-        0 if ok else 1,
-        mode=report.mode,
-        seed=report.seed,
-    )
+    verdict = "pass" if report.consistent else "fail"
+    return _summary(out, "smyth", verdict, mode=report.mode, seed=report.seed)
 
 
 def cmd_envelope(args, out: Emitter) -> int:
@@ -193,7 +177,7 @@ def cmd_envelope(args, out: Emitter) -> int:
     g = lipschitz.envelope(space, f, alpha)
     for p in space.points:
         out.emit({"record": "value", "point": p, "f": str(f(p)), "envelope": str(g(p))})
-    return _summary(out, "envelope", "pass", 0, alpha=str(alpha))
+    return _summary(out, "envelope", "pass", alpha=str(alpha))
 
 
 def cmd_dist(args, out: Emitter) -> int:
@@ -203,7 +187,7 @@ def cmd_dist(args, out: Emitter) -> int:
     for x in points:
         d = lipschitz.dist_to_complement(space, x, u)
         out.emit({"record": "distance", "point": x, "to_complement_of": sorted(u.members), "value": str(d)})
-    return _summary(out, "dist", "pass", 0)
+    return _summary(out, "dist", "pass")
 
 
 def cmd_thin(args, out: Emitter) -> int:
@@ -211,7 +195,7 @@ def cmd_thin(args, out: Emitter) -> int:
     u = lipschitz.OpenSet(space, _parse_points(args.open))
     thinned = lipschitz.thinning(space, u, as_fraction(args.r))
     out.emit({"record": "thinning", "r": args.r, "members": list(thinned)})
-    return _summary(out, "thin", "pass", 0)
+    return _summary(out, "thin", "pass")
 
 
 def cmd_rideal(args, out: Emitter) -> int:
@@ -220,7 +204,7 @@ def cmd_rideal(args, out: Emitter) -> int:
         basis = posets.AbstractBasis.from_json(obj)
     except NotAnAbstractBasis as e:
         out.emit({"record": "basis_violation", "detail": [str(a) for a in e.args]})
-        return _summary(out, "rideal", "fail", 1)
+        return _summary(out, "rideal", "fail")
     completion = posets.rounded_ideal_completion(basis)
     out.emit({"record": "completion", "poset": completion.poset.to_json()})
     for e in basis.elements:
@@ -232,7 +216,7 @@ def cmd_rideal(args, out: Emitter) -> int:
                 "ideal": completion.image[e],
             }
         )
-    return _summary(out, "rideal", "pass", 0, ideals=len(completion.ideals))
+    return _summary(out, "rideal", "pass", ideals=len(completion.ideals))
 
 
 def cmd_idl(args, out: Emitter) -> int:
@@ -241,7 +225,7 @@ def cmd_idl(args, out: Emitter) -> int:
     out.emit({"record": "completion", "poset": completion.poset.to_json()})
     for e in p.elements:
         out.emit({"record": "principal_ideal", "element": e, "ideal": completion.embedding[e]})
-    return _summary(out, "idl", "pass", 0, ideals=len(completion.ideals))
+    return _summary(out, "idl", "pass", ideals=len(completion.ideals))
 
 
 def cmd_qideal_model(args, out: Emitter) -> int:
@@ -269,7 +253,6 @@ def cmd_qideal_model(args, out: Emitter) -> int:
         out,
         "qideal-model",
         "pass" if report.passed else "fail",
-        0 if report.passed else 1,
         elements=len(model.elements),
         depth=args.depth,
     )
@@ -320,14 +303,7 @@ def cmd_choquet(args, out: Emitter) -> int:
             }
         )
         ok = transcript.alpha_won() and transcript.intersections_equal()
-    return _summary(
-        out,
-        "choquet",
-        "pass" if ok else "fail",
-        0 if ok else 1,
-        depth=args.depth,
-        seed=args.seed,
-    )
+    return _summary(out, "choquet", "pass" if ok else "fail", depth=args.depth, seed=args.seed)
 
 
 def cmd_export(args, out: Emitter) -> int:
@@ -336,7 +312,7 @@ def cmd_export(args, out: Emitter) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-        return _summary(out, "export", "pass", 0, path=args.dot)
+        return _summary(out, "export", "pass", path=args.dot)
     print(text)
     return 0
 
@@ -350,13 +326,7 @@ def cmd_replay(args, out: Emitter) -> int:
         witness = balls.StandardnessWitness.from_json(obj)
     else:
         raise QmetError(f"unrecognized witness kind {obj.get('witness')!r}")
-    still = witness.replay(space)
-    return _summary(
-        out,
-        "replay",
-        "refuted" if still else "not_refuted",
-        1 if still else 0,
-    )
+    return _summary(out, "replay", "refuted" if witness.replay(space) else "not_refuted")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import BadInput, IndeterminateForm
 
@@ -163,13 +163,16 @@ def ext(value) -> ExtReal:
     return ExtReal(value)
 
 
-def int_scale(values: Sequence[ExtReal]) -> tuple[int, list[Optional[int]]]:
+def int_scale(values: Sequence) -> tuple[int, list]:
     """(D, ints): D is the lcm of the denominators of the finite values, and
-    ints[k] is values[k] * D as an int, None for inf.  Compares and sums of
+    ints[k] is values[k] * D as an int.  A value is an ExtReal, whose inf
+    becomes None, or a signed Fraction; any other value (a marker such as
+    the point inf of the real line) passes through.  Compares and sums of
     values brought to one such scale are exact int operations."""
-    fracs = [v._frac for v in values]
-    den = lcm(*(f.denominator for f in fracs if f is not None))
-    return den, [None if f is None else f.numerator * (den // f.denominator) for f in fracs]
+    fracs = [v._frac if type(v) is ExtReal else v for v in values]
+    den = lcm(*(f.denominator for f in fracs if type(f) is Fraction))
+    return den, [f.numerator * (den // f.denominator) if type(f) is Fraction else f
+                 for f in fracs]
 
 
 def compare(a, b) -> int:

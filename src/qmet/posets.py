@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
@@ -78,7 +79,6 @@ class FinitePoset:
         else:
             self._up = [_mask_of(j for j in range(n) if leq[i][j]) for i in range(n)]
         self._index = {e: i for i, e in enumerate(self._elements)}
-        self._down = None
         self._validate()
 
     def _validate(self):
@@ -140,12 +140,11 @@ class FinitePoset:
     def up_mask(self, i: int) -> int:
         return self._up[i]
 
+    @cached_property
     def _down_rows(self) -> list[int]:
         """Row j is the mask of the elements below j; built on first use."""
-        if self._down is None:
-            up, n = self._up, len(self._up)
-            self._down = [_mask_of(i for i in range(n) if up[i] >> j & 1) for j in range(n)]
-        return self._down
+        up, n = self._up, len(self._up)
+        return [_mask_of(i for i in range(n) if up[i] >> j & 1) for j in range(n)]
 
     def _set(self, mask: int) -> frozenset:
         return frozenset(self._elements[j] for j in _bits(mask))
@@ -154,7 +153,7 @@ class FinitePoset:
         return self._set(self._up[self.index(a)])
 
     def down_set(self, a: str) -> frozenset:
-        return self._set(self._down_rows()[self.index(a)])
+        return self._set(self._down_rows[self.index(a)])
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse edges: pairs a < b with nothing strictly between."""
@@ -246,7 +245,7 @@ def ideal_completion(p: FinitePoset) -> IdealCompletion:
     A finite directed set holds its own maximum, so every ideal is the
     down-set of one element.
     """
-    down = p._down_rows()
+    down = p._down_rows
     poset, ideals, names = _inclusion_completion(p.elements, down)
     embedding = {e: names[down[i]] for i, e in enumerate(p.elements)}
     return IdealCompletion(poset, ideals, embedding)
@@ -456,7 +455,7 @@ def _reply(down: list[int], x: int, v: int) -> int:
 def alpha_reply(p: FinitePoset, x: str, v: frozenset) -> str:
     """Reply point: minimal below-x point inside v, ties broken by element order."""
     vm = _mask_of(i for i, e in enumerate(p.elements) if e in v)
-    y = _reply(p._down_rows(), p.index(x), vm) if vm else -1
+    y = _reply(p._down_rows, p.index(x), vm) if vm else -1
     if y < 0:
         raise IllegalMove(f"{x} has no approximant inside {sorted(v)}")
     return p.elements[y]
@@ -498,29 +497,22 @@ def play(p: FinitePoset, moves: Sequence[tuple[str, Iterable[str]]]) -> PlayTran
 
 
 def choquet_play(
-    p: FinitePoset,
-    beta: "str | Sequence | Callable" = "seeded",
-    depth: int = 4,
-    seed: int = 0,
+    p: FinitePoset, beta: str = "seeded", depth: int = 4, seed: int = 0
 ) -> PlayTranscript:
-    """Play to the given depth against a seeded or scripted challenger."""
-    if isinstance(beta, (list, tuple)):
-        return play(p, beta)
+    """Play to the given depth against the seeded challenger, which draws
+    each move from the legal ones; ``play`` takes explicit moves."""
+    if beta != "seeded":
+        raise QmetError(f"unknown challenger {beta!r}: only 'seeded' is played")
     rng = random.Random(seed)
     inside = (1 << len(p)) - 1
     moves = []
-    for turn in range(depth):
+    for _ in range(depth):
         legal = _beta_moves(p, inside)
         if not legal:
             break
-        if callable(beta):
-            move = beta(turn, p._set(inside))
-            y = p.index(alpha_reply(p, move[0], frozenset(move[1])))
-        else:
-            x, v = legal[rng.randrange(len(legal))]
-            move, y = (p.elements[x], p._set(v)), _reply(p._down_rows(), x, v)
-        moves.append(move)
-        inside = p.up_mask(y)
+        x, v = legal[rng.randrange(len(legal))]
+        moves.append((p.elements[x], p._set(v)))
+        inside = p.up_mask(_reply(p._down_rows, x, v))
     return play(p, moves)
 
 
@@ -546,7 +538,7 @@ def verify_all_plays(p: FinitePoset, depth: int = 4) -> ChoquetSweep:
     """
     if not len(p):
         raise IllegalMove("empty poset has no nonempty opens")
-    up, down = p._up, p._down_rows()
+    up, down = p._up, p._down_rows
     edges: dict[int, dict[int, int]] = {}
     all_won = invariants_ok = True
     plays = {(1 << len(p)) - 1: 1}  # state -> number of plays that reach it

@@ -19,12 +19,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import sub
 from typing import Optional, Sequence
 
 from .errors import QmetError, UnknownPoint, expect_list, expect_names, expect_object, is_square
-from .extreal import INF, ZERO, ExtReal, as_fraction, ext
+from .extreal import INF, ZERO, ExtReal, as_fraction, ext, int_scale
 from .posets import FinitePoset
 
 
@@ -54,14 +53,6 @@ def parse_point_value(text: str):
 
 def point_label(value) -> str:
     return "inf" if value is INF_POINT else str(value)
-
-
-def _scaled(fracs: list) -> tuple[int, list]:
-    """(D, ints): D is the lcm of the denominators of the Fractions in fracs,
-    and each Fraction times D as an int; None and INF_POINT pass through."""
-    den = lcm(*(f.denominator for f in fracs if f is not None and f is not INF_POINT))
-    return den, [f if f is None or f is INF_POINT else f.numerator * den // f.denominator
-                 for f in fracs]
 
 
 class Space:
@@ -99,7 +90,7 @@ class Space:
 
     def _tabulate(self):
         """The int table of a formula kind: the formula over its scaled values."""
-        den, flat = _scaled([*self._params, *self._values])
+        den, flat = int_scale([*self._params, *self._values])
         params, values = flat[:len(self._params)], flat[len(self._params):]
         formula = self._formula
         self._ints = (den, [[formula(x, y, *params) for y in values] for x in values])
@@ -154,21 +145,16 @@ class FiniteTableSpace(Space):
         n = len(self._points)
         if not is_square(table, n):
             raise QmetError("distance table shape mismatch")
-        den, flat = _scaled([ext(v)._frac for row in table for v in row])
+        den, flat = int_scale([ext(v) for row in table for v in row])
         self._ints = (den, [flat[i * n:(i + 1) * n] for i in range(n)])
-        self._symmetric: Optional[bool] = None
 
-    @property
+    @cached_property
     def way_below_rule(self) -> Optional[str]:
         return "metric_strict_approximation" if self.is_symmetric() else None
 
     def is_symmetric(self) -> bool:
-        if self._symmetric is None:
-            rows = self._ints[1]
-            self._symmetric = all(
-                rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i)
-            )
-        return self._symmetric
+        rows = self._ints[1]
+        return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
 
     def to_json(self) -> dict:
         return {

@@ -9,14 +9,18 @@ import pytest
 
 from qmet.balls import (
     _ball_grid,
+    _ball_rows,
     ball,
     center_point_check,
     leq_dplus,
     prec,
+    order_laws_report,
     radius_law_report,
     smyth_probe,
+    v_relation,
     way_below_oracle,
 )
+from qmet.errors import QmetError
 from qmet.extreal import INF, ZERO, ExtReal
 from qmet.spaces import (
     FiniteTableSpace,
@@ -111,6 +115,18 @@ def test_kernel_on_an_empty_grid(metric_line4):
     assert _ball_grid(metric_line4, []) == ([], [], [])
 
 
+def test_kernel_rejects_a_negative_radius(metric_line4):
+    with pytest.raises(QmetError, match="ball radius must be non-negative, got -1/2"):
+        _ball_rows(metric_line4, [Fraction(1), Fraction(-1, 2), Fraction(-1)])
+    # a shift that takes a radius of the grid below zero is refused ...
+    line3 = FiniteTableSpace.metric_line([0, 1, 2])
+    with pytest.raises(QmetError, match="ball radius must be non-negative, got -1"):
+        order_laws_report(line3, [Fraction(0), Fraction(1)], [Fraction(-1)])
+    # ... and one that keeps every radius non-negative still runs
+    report = order_laws_report(line3, [Fraction(1), Fraction(2)], [Fraction(-1, 2)])
+    assert report.passed and report.ball_count == 6
+
+
 @pytest.mark.parametrize("name", FIXTURES)
 def test_check_axioms_matches_extreal_loop_on_fixtures(request, name):
     space = request.getfixturevalue(name)
@@ -138,7 +154,8 @@ def test_check_axioms_matches_extreal_loop_on_broken_tables(seed):
 
 
 def smyth_gaps_by_pairs(space, depth, sample_budget, seed):
-    """``smyth_probe``'s gap pairs, one ``prec`` and one rule call per pair."""
+    """``smyth_probe``'s gap pairs, one ``prec`` and one rule call per pair;
+    a sampled probe lists each gap once, in the order it was first drawn."""
     radii = [Fraction(j) for j in range(4)] + [Fraction(1, 2**k) for k in range(1, depth + 1)]
     balls = [ball(p, r) for p in space.points for r in radii]
     pairs = [(a, b) for a in balls for b in balls]
@@ -146,7 +163,9 @@ def smyth_gaps_by_pairs(space, depth, sample_budget, seed):
         rng = random.Random(seed)
         pairs = [pairs[rng.randrange(len(pairs))] for _ in range(sample_budget)]
     _, rule = way_below_oracle(space)
-    return [(a, b) for a, b in pairs if prec(space, a, b) and not rule(space, a, b)]
+    return list(dict.fromkeys(
+        (a, b) for a, b in pairs if prec(space, a, b) and not rule(space, a, b)
+    ))
 
 
 @pytest.mark.parametrize("name", ["real_grid_inf", "sorgenfrey4", "metric_line4", "diamond_space"])
@@ -155,6 +174,18 @@ def test_smyth_gaps_match_pairwise_route(request, name):
     for depth, budget, seed in ((2, 40_000, 0), (2, 50, 1), (1, 300, 7)):
         report = smyth_probe(space, depth=depth, sample_budget=budget, seed=seed)
         assert report.gap_pairs == smyth_gaps_by_pairs(space, depth, budget, seed)
+
+
+def test_sampled_smyth_lists_each_gap_once():
+    # 217 balls, so the default budget of 40,000 draws samples the 47,089 pairs
+    space = RealGridSpace(list(range(30)) + [parse_point_value("inf")])
+    report = smyth_probe(space, depth=3)
+    every_gap = smyth_probe(space, depth=3, sample_budget=10**6).gap_pairs
+    assert report.mode == "sampled" and len(every_gap) == 21
+    assert len(set(report.gap_pairs)) == len(report.gap_pairs) == 8
+    assert set(report.gap_pairs) <= set(every_gap)
+    assert report.gap_pairs == smyth_gaps_by_pairs(space, 3, 40_000, 0)
+    assert report.non_center_points == ["inf"]
 
 
 class RuledTable(FiniteTableSpace):
@@ -185,6 +216,12 @@ def seeded_ruled_spaces(seed):
     ]
 
 
+def center_point_by_v(space, x):
+    """x is a center point when v(x, y) = d(x, y) at every y: one
+    ``v_relation`` call and one ExtReal compare per point."""
+    return all(v_relation(space, x, y) == space.dist(x, y) for y in space.points)
+
+
 def test_smyth_non_centers_match_center_point_check(request):
     spaces = [request.getfixturevalue(name) for name in FIXTURES]
     spaces += [space for seed in range(12) for space in seeded_ruled_spaces(seed)]
@@ -192,7 +229,8 @@ def test_smyth_non_centers_match_center_point_check(request):
     for space in spaces:
         if way_below_oracle(space) is None:
             continue
-        want = [x for x in space.points if not center_point_check(space, x)]
+        want = [x for x in space.points if not center_point_by_v(space, x)]
+        assert [x for x in space.points if not center_point_check(space, x)] == want
         assert smyth_probe(space, depth=1).non_center_points == want
         listed += len(want)
         inf_self += sum(

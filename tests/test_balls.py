@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qmet.balls import (
+    FiniteBallFamily,
     GeometricBallFamily,
     StandardnessWitness,
     WayBelowWitness,
@@ -449,6 +450,84 @@ def test_standardness_verdicts_are_sound(fixture, request):
     assert "holds" in seen
     if isinstance(space, SkewedIntervalSpace):
         assert "refuted" in seen
+
+
+def test_standardness_replay_refuses_a_shift_below_zero(skewed_unit, metric_line4):
+    geometric = standardness_probe(skewed_unit, GeometricBallFamily(skewed_unit, 0), ball("0", 0), 1)
+    w = geometric.witness
+    with pytest.raises(QmetError, match="offset s must be non-negative"):
+        StandardnessWitness(w.family, Fraction(-1), w.candidate, w.target, w.members).replay(
+            skewed_unit
+        )
+    members = [("0", Fraction(3)), ("1", Fraction(2))]
+    finite = StandardnessWitness({"kind": "finite"}, Fraction(-5, 2), ball("1", 0), ball("1", 0), members)
+    with pytest.raises(QmetError, match="ball radius must be non-negative, got -1/2"):
+        finite.replay(metric_line4)
+    # a negative shift that leaves every radius non-negative is replayed
+    finite.shift = Fraction(-1)
+    assert not finite.replay(metric_line4)
+
+
+def test_standardness_replay_of_a_memberless_family_is_not_refuted(metric_line4):
+    # an empty family has no largest upper-bound radius anywhere, so no
+    # candidate bounds it and nothing is refuted
+    w = StandardnessWitness({"kind": "finite"}, Fraction(1), ball("0", 0), ball("2", 1), [])
+    assert not w.replay(metric_line4)
+
+
+def _shifted_copy(family, shift):
+    """The family rebuilt with every member radius raised by shift."""
+    if isinstance(family, GeometricBallFamily):
+        return GeometricBallFamily(family.space, family.s + shift)
+    return FiniteBallFamily(
+        family.space, [ball(b.center, b.radius + shift) for b in family.members]
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shift_question_matches_a_shifted_copy(seed):
+    """``max_upper_radius(w, shift)`` and ``is_upper_bound(b, shift)`` agree
+    with an explicitly shifted copy of the family, for finite and geometric
+    families on seeded balls and shifts.  The copy's upper bounds are read
+    off one ``leq_dplus`` per member, or off the rule x + r <= s."""
+    import random
+
+    rng = random.Random(seed)
+    radii = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]
+    shifts = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(5, 2)]
+    values = sorted(rng.sample([Fraction(k, 4) for k in range(8)], 3))
+    skew = _random_skewed_grid(rng)
+    spaces = [
+        random_table_space(4, seed),
+        random_table_space(4, seed, symmetric=True),
+        SorgenfreyGridSpace(values),
+        RealGridSpace(values + [INF_POINT]),
+        skew,
+    ]
+    families = [
+        FiniteBallFamily(space, chain)
+        for space in spaces
+        for chain in _chain_families(space, rng, radii, 4)
+    ]
+    families += [GeometricBallFamily(skew, Fraction(rng.randrange(9), 4)) for _ in range(3)]
+    seen = set()
+    for fam in families:
+        space = fam.space
+        for shift in shifts:
+            copy = _shifted_copy(fam, shift)
+            for w in space.points:
+                cap = fam.max_upper_radius(w, shift)
+                assert cap == copy.max_upper_radius(w)
+                near = [] if cap is None else [cap, cap + Fraction(1, 8)]
+                for r in radii + near:
+                    b = ball(w, r)
+                    if isinstance(fam, GeometricBallFamily):
+                        want = space.value(w) + r <= copy.s
+                    else:
+                        want = all(leq_dplus(space, m, b) for m in copy.members)
+                    assert fam.is_upper_bound(b, shift) == want, (fam, shift, b)
+                    seen.add((type(fam), want))
+    assert len(seen) == 4
 
 
 @pytest.mark.parametrize("seed", range(3))

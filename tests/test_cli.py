@@ -111,6 +111,17 @@ def test_order_pass(capsys, line_file):
     assert summary["verdict"] == "pass" and summary["balls"] > 0
 
 
+def test_order_refuses_a_shift_below_zero(capsys, tmp_path):
+    # the grid holds radius 0, so a shift of -1 would reach the kernel as -1
+    path = tmp_path / "line3.json"
+    dist = [[str(abs(a - b)) for b in range(3)] for a in range(3)]
+    path.write_text(json.dumps({"kind": "finite_table", "points": ["0", "1", "2"], "dist": dist}))
+    code = main(["order", str(path), "--shift=-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: ball radius must be non-negative, got -1\n"
+
+
 def test_order_detects_broken_triangle(capsys, skew_bad):
     # a failing triangle inequality surfaces as a transitivity violation
     code, out = run(capsys, "order", skew_bad, "--depth", "3")

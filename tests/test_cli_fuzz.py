@@ -222,6 +222,20 @@ def test_valid_runs_keep_exit_contract(run):
     assert code in (0, 1) and "Traceback" not in err, (argv, code, err)
 
 
+@pytest.mark.parametrize("run", RUNS, ids="_".join)
+def test_valid_runs_exit_follows_the_verdict(run):
+    """The summary's exit is what ``main`` returns: 1 exactly for a fail or
+    refuted verdict, 0 otherwise.  ``export`` without ``--dot`` prints raw
+    DOT and no summary."""
+    argv, code, out, _ = _run_swapped(run, None, (), None)
+    if run[0] == "export":
+        assert code == 0
+        return
+    summary = json.loads(out.splitlines()[-1])
+    assert summary["record"] == "summary" and summary["exit"] == code, (argv, summary)
+    assert code == (1 if summary["verdict"] in ("fail", "refuted") else 0), (argv, summary)
+
+
 @settings(
     max_examples=300,
     deadline=None,

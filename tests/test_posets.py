@@ -6,6 +6,7 @@ from qmet.errors import (
     IllegalMove,
     NotAPartialOrder,
     NotAnAbstractBasis,
+    QmetError,
     UnknownElement,
 )
 from qmet.posets import (
@@ -292,6 +293,14 @@ def test_choquet_single_point():
     t = choquet_play(p, "seeded", depth=3, seed=1)
     assert t.alpha_won()
     assert t.intersection_u() == frozenset({"x"})
+
+
+def test_choquet_play_knows_only_the_seeded_challenger():
+    p = FinitePoset.chain(["a", "b"])
+    assert choquet_play(p, "seeded", 2, 3) == choquet_play(p, depth=2, seed=3)
+    for beta in ("random", [("a", ["a", "b"])], lambda turn, inside: ("a", inside)):
+        with pytest.raises(QmetError, match="only 'seeded'"):
+            choquet_play(p, beta)
 
 
 def test_choquet_three_chain_exhaustive():

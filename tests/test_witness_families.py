@@ -240,3 +240,18 @@ def test_radius_shrink_needs_a_center_at_distance_zero_from_itself(capsys, tmp_p
     path.write_text(json.dumps(dict(w.to_json(), space=space.to_json())))
     assert main(["replay", str(path)]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["verdict"] == "not_refuted"
+
+
+def test_depth_bounds_the_listed_prefix_not_where_an_approach_starts():
+    """On the tailed segment with grid 1/1024, 1, a left approach to 1/1024
+    must stay inside (0, 1], so it starts at n0 = 11: 2^-11 < 1/1024.  Depth
+    0 still lists one member, and the refutation replays."""
+    space = TailedSorgenfreySpace(1, 1, 1, [Fraction(1, 1024), Fraction(1)])
+    b1, b2 = ball("1/1024", 1), ball("1/1024", 0)
+    v = way_below(space, b1, b2, depth=0)
+    assert v.is_refuted and v.witness.kind == "left_approach"
+    assert v.witness.n0 == 11
+    # the member (1/1024 - 2^-11, 0 + 2^-11)
+    assert v.witness.members == [("1/2048", Fraction(1, 2048))]
+    assert v.witness.replay(space)
+    assert WayBelowWitness.from_json(json.loads(json.dumps(v.witness.to_json()))).replay(space)

@@ -118,8 +118,6 @@ def _approach_witness(space, b1, b2, star_name: str, depth: int) -> Optional[Way
         n0 = 0
         while star - _dyadic(n0) <= 0:
             n0 += 1
-            if n0 > depth:
-                return None
     else:
         member_ok = x1 < star and star - x1 <= b1.radius - t
         n0 = 0
