@@ -10,7 +10,8 @@ class QmetError(Exception):
 
 class BadInput(QmetError, TypeError):
     """A value of the wrong type: a float or other non-rational where an
-    exact rational belongs, or a JSON document that is not an object."""
+    exact rational belongs, or a JSON document that is not an object or
+    nests too deeply to read."""
 
 
 def expect_object(obj, what: str) -> dict:

@@ -5,10 +5,11 @@ On a finite carrier the opens of the induced topology are exactly the
 subsets that are upward closed for the specialization order, and the largest
 Scott-open family of balls whose radius-zero slice stays inside an open U is
 cut out by the closed-ball test: (x, r) belongs to it iff every point within
-distance r of x lies in U.  Everything here is exact rational arithmetic.
+distance r of x lies in U, that is, iff d(x, complement of U) > r, one
+compare with ``dist_to_complement``.  Everything is exact rational arithmetic.
 
-The pair loops (``hat_membership``, ``dist_to_complement``,
-``lipschitz_check`` and ``envelope``) read the space's integer view
+The pair loops (``dist_to_complement``, ``lipschitz_check`` and
+``envelope``) read the space's integer view
 (``Space._ints``): distances, function values, the slope and the lift
 radii are brought to one common denominator, every compare is an int
 compare, and ExtReals are built only for the results.  The ExtReal loops
@@ -25,18 +26,14 @@ from typing import Iterable, Optional, Union
 
 from .balls import FormalBall
 from .errors import QmetError, UnknownPoint, expect_object
-from .extreal import INF, ZERO, ExtReal, as_fraction, ext, int_scale
+from .extreal import INF, ZERO, ExtReal, as_fraction, ext, int_scale, monus
 from .spaces import Space
 
 
 def extended_value_dist(u: ExtReal, v: ExtReal) -> ExtReal:
     """One-way distance between extended non-negative values: how far u sits
-    above v, infinite when u is the top and v is not."""
-    if u <= v:
-        return ZERO
-    if u.is_infinite:
-        return INF
-    return ExtReal(u.as_fraction() - v.as_fraction())
+    above v: ``monus``, with inf above inf at 0."""
+    return ZERO if u <= v else monus(u, v)
 
 
 class OpenSet:
@@ -45,10 +42,11 @@ class OpenSet:
 
     def __init__(self, space: Space, members: Iterable[str]):
         self.space = space
-        self.members = frozenset(members)
-        for x in self.members:
+        members = list(members)
+        for x in members:  # the first unknown name as given
             space.index(x)
-        for x in self.members:
+        self.members = frozenset(members)
+        for x in self:  # closure in carrier order
             for y in space.points:
                 if y not in self.members and space.specialization_leq(x, y):
                     raise QmetError(
@@ -77,16 +75,9 @@ class OpenSet:
 def hat_membership(space: Space, b: FormalBall, u: OpenSet) -> bool:
     """Whether the ball sits in the largest Scott-open ball family whose
     radius-zero slice stays inside u: the closed r-ball around the center
-    must be contained in u."""
-    i = space.index(b.center)
-    den, rows = space._ints
-    r = as_fraction(b.radius)
-    # d <= r on the int view: d * r.denominator <= r.numerator * den
-    bound = r.numerator * den
-    return all(
-        d is None or d * r.denominator > bound or y in u
-        for y, d in zip(space.points, rows[i])
-    )
+    must be contained in u, that is, d(x, complement of u) > r."""
+    d = dist_to_complement(space, b.center, u)
+    return d.is_infinite or d.as_fraction() > b.radius
 
 
 def thinning(space: Space, u: OpenSet, r) -> OpenSet:

@@ -500,20 +500,21 @@ def choquet_play(
     p: FinitePoset, beta: str = "seeded", depth: int = 4, seed: int = 0
 ) -> PlayTranscript:
     """Play to the given depth against the seeded challenger, which draws
-    each move from the legal ones; ``play`` takes explicit moves."""
+    each move from the legal ones; ``play`` takes explicit moves.  Drawn
+    moves are legal by construction, and each reply's open is nonempty."""
     if beta != "seeded":
         raise QmetError(f"unknown challenger {beta!r}: only 'seeded' is played")
+    if not len(p):
+        raise IllegalMove("empty poset has no nonempty opens")
     rng = random.Random(seed)
     inside = (1 << len(p)) - 1
-    moves = []
+    rounds = []
     for _ in range(depth):
-        legal = _beta_moves(p, inside)
-        if not legal:
-            break
-        x, v = legal[rng.randrange(len(legal))]
-        moves.append((p.elements[x], p._set(v)))
-        inside = p.up_mask(_reply(p._down_rows, x, v))
-    return play(p, moves)
+        x, v = rng.choice(_beta_moves(p, inside))
+        y = _reply(p._down_rows, x, v)
+        inside = p.up_mask(y)
+        rounds.append(PlayRound(p.elements[x], p._set(v), p._set(inside), p.elements[y]))
+    return PlayTranscript(p, rounds)
 
 
 @dataclass
@@ -565,7 +566,7 @@ def verify_all_plays(p: FinitePoset, depth: int = 4) -> ChoquetSweep:
 
 
 def export_dot(p: FinitePoset, node_attrs: Optional[Callable[[str], str]] = None) -> str:
-    """DOT digraph of the Hasse diagram, nodes in element order."""
+    """DOT digraph of the Hasse diagram, nodes in element order, edges in ``covers`` order."""
     if not len(p):
         return "digraph { }"
     lines = ["digraph {"]
@@ -573,7 +574,7 @@ def export_dot(p: FinitePoset, node_attrs: Optional[Callable[[str], str]] = None
         attr = node_attrs(e) if node_attrs else ""
         suffix = f" [{attr}]" if attr else ""
         lines.append(f'  "{e}"{suffix};')
-    for a, b in sorted(p.covers(), key=lambda ab: (p.index(ab[0]), p.index(ab[1]))):
+    for a, b in p.covers():
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines)

@@ -453,8 +453,8 @@ def space_from_json(obj: dict) -> Space:
         return RealGridSpace([parse_point_value(v) for v in expect_list(obj["values"], "values")])
     if kind == "sorgenfrey_grid":
         return SorgenfreyGridSpace(expect_list(obj["values"], "values"))
-    if kind in ("poset", "Poset"):
-        return PosetSpace(FinitePoset(expect_names(obj["elements"], "elements"), obj["leq"]))
+    if kind == "poset":
+        return PosetSpace(FinitePoset.from_json(obj))
     if kind == "skewed_interval":
         return SkewedIntervalSpace(obj["a"], expect_list(obj["values"], "values"))
     if kind == "tailed_sorgenfrey":

@@ -20,7 +20,7 @@ from qmet.balls import (
     v_relation,
     way_below_oracle,
 )
-from qmet.errors import QmetError
+from qmet.errors import BadInput, QmetError
 from qmet.extreal import INF, ZERO, ExtReal
 from qmet.spaces import (
     FiniteTableSpace,
@@ -125,6 +125,37 @@ def test_kernel_rejects_a_negative_radius(metric_line4):
     # ... and one that keeps every radius non-negative still runs
     report = order_laws_report(line3, [Fraction(1), Fraction(2)], [Fraction(-1, 2)])
     assert report.passed and report.ball_count == 6
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_shifted_rows_are_the_base_rows(seed):
+    """(x, r) <=+ (y, s) iff d(x, y) <= r - s, and a uniform shift cancels
+    in r - s: the kernel's rows over a shifted grid are the base rows bit
+    for bit, on tables that break the axioms too."""
+    rng = random.Random(seed)
+    radii = sorted({Fraction(rng.randrange(12), rng.choice([1, 2, 3, 4])) for _ in range(5)})
+    for space in (raw_table(4, seed), raw_table(5, seed + 50), random_table_space(4, seed)):
+        for a in (Fraction(1, 3), Fraction(1), Fraction(7, 2), -radii[0]):
+            for strict in (False, True):
+                shifted = _ball_rows(space, [r + a for r in radii], strict)[0]
+                assert shifted == _ball_rows(space, radii, strict)[0], (space, radii, a)
+    assert not all(check_axioms(raw_table(n, s)).passed for n in (4, 5) for s in range(8))
+
+
+def test_order_laws_report_only_validates_its_shifts(metric_line4):
+    radii = [Fraction(1, 4), Fraction(0), Fraction(1)]
+    report = order_laws_report(metric_line4, radii)
+    assert report.standard_ok and report.passed
+    assert order_laws_report(metric_line4, radii, ["1/2", Fraction(3)]) == report
+    # the first radius taken below zero is named, for the first bad shift
+    with pytest.raises(QmetError, match="got -1/4"):
+        order_laws_report(metric_line4, radii, [Fraction(1), Fraction(-1, 2), Fraction(-1)])
+    # a bad literal is refused before any radius, even on an empty grid
+    with pytest.raises(BadInput, match="zero denominator in '1/0'"):
+        order_laws_report(metric_line4, [], ["1/0"])
+    with pytest.raises(BadInput, match="exact rational required"):
+        order_laws_report(metric_line4, [], [0.5])
+    assert order_laws_report(metric_line4, [], [Fraction(-3)]).ball_count == 0
 
 
 @pytest.mark.parametrize("name", FIXTURES)

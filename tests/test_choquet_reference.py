@@ -19,6 +19,7 @@ from qmet.posets import (
     alpha_reply,
     choquet_play,
     legal_beta_moves,
+    play,
     random_poset,
     verify_all_plays,
 )
@@ -71,6 +72,20 @@ def test_seeded_play_matches_the_frozenset_route(n, density):
         assert [(r.x, r.v, r.u, r.y) for r in t.rounds] == [
             (r.x, r.v, r.u, r.y) for r in want
         ]
+
+
+@pytest.mark.parametrize("density", DENSITIES)
+def test_seeded_play_is_the_play_of_its_own_moves(density):
+    """The seeded rounds, computed on masks, are what ``play`` makes of the
+    same moves after checking each one."""
+    for n in range(1, 9):
+        p = random_poset(n, 5 * n + 2, density)
+        for seed in range(3):
+            t = choquet_play(p, "seeded", depth=4, seed=seed)
+            assert t == play(p, [(r.x, r.v) for r in t.rounds]), (n, seed)
+    for depth in (0, 2):
+        with pytest.raises(IllegalMove, match="empty poset has no nonempty opens"):
+            choquet_play(FinitePoset([], []), depth=depth)
 
 
 @pytest.mark.parametrize("n", range(0, 11))

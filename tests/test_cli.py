@@ -111,15 +111,11 @@ def test_order_pass(capsys, line_file):
     assert summary["verdict"] == "pass" and summary["balls"] > 0
 
 
-def test_order_refuses_a_shift_below_zero(capsys, tmp_path):
-    # the grid holds radius 0, so a shift of -1 would reach the kernel as -1
-    path = tmp_path / "line3.json"
-    dist = [[str(abs(a - b)) for b in range(3)] for a in range(3)]
-    path.write_text(json.dumps({"kind": "finite_table", "points": ["0", "1", "2"], "dist": dist}))
-    code = main(["order", str(path), "--shift=-1"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == "error: ball radius must be non-negative, got -1\n"
+def test_order_takes_no_shift(capsys, line_file):
+    # the ball order is shift invariant by construction, so there is no
+    # shift to check
+    err = _rejected(capsys, "order", line_file, "--shift", "1/2")
+    assert err.endswith("unrecognized arguments: --shift 1/2")
 
 
 def test_order_detects_broken_triangle(capsys, skew_bad):
@@ -301,6 +297,13 @@ def test_standard_probe_tiny_skewed_gap(capsys, tmp_path):
     assert records(out)[-1]["verdict"] == "refuted"
 
 
+def test_poset_kind_alias_is_rejected(capsys, tmp_path):
+    path = tmp_path / "alias.json"
+    path.write_text(json.dumps({"kind": "Poset", "elements": ["a"], "leq": [[True]]}))
+    assert _rejected(capsys, "axioms", str(path)) == "error: unknown space kind 'Poset'"
+    assert _rejected(capsys, "idl", str(path)) == "error: unexpected kind 'Poset'"
+
+
 def test_idl(capsys, chain_file):
     code, out = run(capsys, "idl", chain_file)
     assert code == 0
@@ -397,9 +400,10 @@ def test_determinism_byte_identical(capsys, real_grid_file):
 def test_reused_parser_carries_no_state(capsys, skew_bad):
     from qmet import cli
 
-    run(capsys, "order", skew_bad, "--depth", "2", "--shift", "1/2")
+    run(capsys, "order", skew_bad, "--depth", "2", "--seed", "5")
     code, out = run(capsys, "order", skew_bad, "--depth", "2")
-    assert cli._parser().parse_args(["order", skew_bad]).shift is None
+    assert records(out)[-1]["seed"] == 0
+    assert cli._parser().parse_args(["order", skew_bad]).seed == 0
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     fresh = subprocess.run(
         [sys.executable, "-m", "qmet.cli", "order", skew_bad, "--depth", "2"],
@@ -471,16 +475,16 @@ def test_number_ball_literal_is_rejected(capsys, real_grid_file, tmp_path):
 
 
 # One child per hash seed runs every subcommand in-process and prints one
-# JSON line per run: its argv, exit code and stdout.
+# JSON line per run: its argv, exit code, stdout and stderr.
 _HASH_SEED_RUNNER = """
 import io, json, sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from qmet.cli import main
 for argv in json.loads(sys.argv[1]):
-    buf = io.StringIO()
-    with redirect_stdout(buf):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
-    print(json.dumps({"argv": argv, "exit": code, "stdout": buf.getvalue()}))
+    print(json.dumps({"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}))
 """
 
 
@@ -524,6 +528,19 @@ def test_every_subcommand_ignores_hash_seed(
         "prec": [[True, True, True], [False, True, True], [False, False, False]],
     })
     func = write("f.json", {"values": {"0": "4", "1": "4", "2": "0", "3": "0"}})
+    # a < b and c < d: an open holding a and c misses b and d, and two of
+    # the names zz, yy, a are unknown; the error names the first in
+    # carrier order and the first unknown as given
+    two_chains = write("two_chains.json", {
+        "kind": "poset",
+        "elements": ["a", "b", "c", "d"],
+        "leq": [[a <= b and a // 2 == b // 2 for b in range(4)] for a in range(4)],
+    })
+    bad_opens = [
+        ["dist", two_chains, "--open", "a,c"], ["thin", two_chains, "--open", "a,c", "--r", "1"],
+        ["dist", two_chains, "--open", "zz,yy,a"],
+        ["thin", two_chains, "--open", "zz,yy,a", "--r", "0"],
+    ]
     runs = [
         ["axioms", skew_bad], ["axioms", line_file, "--budget", "10"],
         ["order", line_file, "--depth", "2"], ["order", skew_bad, "--depth", "2"],
@@ -538,13 +555,13 @@ def test_every_subcommand_ignores_hash_seed(
         ["choquet", diamond, "--exhaustive", "--depth", "3"],
         ["choquet", diamond, "--depth", "3", "--seed", "2"],
         ["export", diamond], ["replay", wb_file], ["replay", std_file],
-    ]
+    ] + bad_opens
     subparsers = next(
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
     assert {argv[0] for argv in runs} == set(subparsers.choices)
     outs = []
-    for seed in ("1", "2"):
+    for seed in ("1", "2", "4"):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
         done = subprocess.run(
             [sys.executable, "-c", _HASH_SEED_RUNNER, json.dumps(runs)],
@@ -552,17 +569,19 @@ def test_every_subcommand_ignores_hash_seed(
         )
         assert done.returncode == 0, done.stderr
         outs.append(done.stdout)
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
     results = records(outs[0].decode())
     assert [r["argv"] for r in results] == runs
-    assert all(r["exit"] in (0, 1) for r in results), results
+    assert all(r["exit"] in (0, 1) for r in results[: -len(bad_opens)]), results
+    assert [(r["exit"], r["stderr"]) for r in results[-len(bad_opens):]] == [
+        (2, "error: not upward closed: a is in the set, b above it is not\n")
+    ] * 2 + [(2, "error: zz\n")] * 2
 
 
 # Every entry point that reads a rational literal, with the literal 1/0.
 ZERO_DENOMINATOR_ARGV = {
     "thin_radius": lambda f: ["thin", f["line"], "--open", "0,1", "--r", "1/0"],
     "envelope_alpha": lambda f: ["envelope", f["line"], f["func"], "--alpha", "1/0"],
-    "order_shift": lambda f: ["order", f["line"], "--shift", "1/0"],
     "qideal_factor": lambda f: ["qideal-model", f["grid"], "--factor", "1/0"],
     "wb_ball_radius": lambda f: ["wb", f["grid"], "(0, 1/0)", "(1/2, 1)"],
     "real_grid_value": lambda f: ["axioms", f["grid_zero"]],

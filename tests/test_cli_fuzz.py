@@ -88,7 +88,7 @@ DOCS = {
 RUNS = [
     ["axioms", "@skew_bad"],
     ["axioms", "@line", "--budget", "10", "--seed", "3"],
-    ["order", "@line", "--depth", "2", "--shift", "1/3"],
+    ["order", "@line", "--depth", "2", "--seed", "3"],
     ["order", "@skew_bad", "--depth", "2"],
     ["wb", "@grid", "(inf, 2)", "(inf, 1)"],
     ["wb", "@line", "(0, 2)", "(1, 1/2)", "--depth", "3"],
@@ -290,6 +290,25 @@ def test_malformed_document_exits_2(case):
     code, err = _assert_exit_contract(run, where, path, value)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# 100,000 nested arrays: deeper than the JSON decoder can recurse
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("run", RUNS, ids="_".join)
+def test_deeply_nested_file_exits_2(run, tmp_path):
+    """Each file a run reads (space, probe, function, basis, poset or
+    witness), swapped for one nested too deeply, is bad input."""
+    files = {arg[1:]: tmp_path / f"{arg[1:]}.json" for arg in run[1:] if arg.startswith("@")}
+    for deep in files:
+        for name, file in files.items():
+            file.write_text(TOO_DEEP if name == deep else json.dumps(DOCS[name]))
+        argv = [str(files[a[1:]]) if a.startswith("@") else a for a in run]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert (code, err.getvalue()) == (2, f"error: {files[deep]}: JSON nested too deeply\n")
 
 
 def test_number_names_are_still_names():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qmet.balls import ball
-from qmet.errors import QmetError
+from qmet.errors import QmetError, UnknownPoint
 from qmet.extreal import INF, ZERO, ExtReal, ext
 from qmet.lipschitz import (
     LscFunction,
@@ -18,7 +18,8 @@ from qmet.lipschitz import (
     lipschitz_threshold,
     thinning,
 )
-from qmet.spaces import FiniteTableSpace
+from qmet.posets import FinitePoset
+from qmet.spaces import FiniteTableSpace, PosetSpace
 
 from conftest import dyadics
 from threshold_enumeration import scott_open_thresholds_bruteforce
@@ -39,6 +40,18 @@ def test_open_set_validation(diamond_space):
     OpenSet(diamond_space, ["l", "top"])
     with pytest.raises(QmetError):
         OpenSet(diamond_space, ["bot"])  # not upward closed
+
+
+def test_open_set_errors_follow_a_fixed_order():
+    # a < b and c < d: the first unknown name as given, then the first
+    # member in carrier order with a point above it left out
+    space = PosetSpace(FinitePoset.from_relation(["a", "b", "c", "d"], [("a", "b"), ("c", "d")]))
+    with pytest.raises(UnknownPoint, match="^zz$"):
+        OpenSet(space, iter(["zz", "yy", "a"]))
+    for members in (["a", "c"], ["c", "a"]):
+        with pytest.raises(QmetError, match="a is in the set, b above it is not"):
+            OpenSet(space, members)
+    assert list(OpenSet(space, iter(["d", "b", "c"]))) == ["b", "c", "d"]
 
 
 def test_hat_membership_examples(metric_line4):

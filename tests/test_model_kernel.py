@@ -15,7 +15,7 @@ from model_reference import build_model_pairwise, model_check_pairwise
 from qmet.cli import main
 from qmet.errors import NotAPartialOrder
 from qmet.extreal import ExtReal
-from qmet.posets import FinitePoset, transitive_closure
+from qmet.posets import FinitePoset, quasi_ideal_check, transitive_closure
 from qmet.qideal import ModelPoset, build_model, quasi_ideal_model_check
 from qmet.spaces import (
     FiniteTableSpace,
@@ -173,6 +173,24 @@ def test_tampered_model_fails_one_clause(factor, depth, pairs, claimed_depth, fa
     assert repr(report) == repr(model_check_pairwise(tampered))
     assert _failed_clauses(report) == failed
     assert not report.passed
+
+
+@pytest.mark.parametrize("name", sorted(n for n, space in SPACES.items() if len(space) > 1))
+def test_layering_is_the_quasi_ideal_clause(name):
+    """The reference's own layering loop finds exactly the quasi-ideal
+    violations, on the built model and with one limit element put below
+    a finite element it was not below."""
+    m = build_model(SPACES[name], depth=2)
+    p = m.poset
+    limit, finite = m.limit_names, [e.name for e in m.elements if not e.is_limit]
+    x, y = next((x, y) for x in limit for y in finite if not p.leq(y, x))
+    for model in (m, _tampered(m, [(x, y)])):
+        report = quasi_ideal_model_check(model)
+        want = model_check_pairwise(model).layering_violations
+        assert report.layering_violations == want
+        assert quasi_ideal_check(model.poset, finite).violations == want
+        assert report.layering_ok == report.quasi_ideal_ok == (not want)
+    assert want and (x, y) in want
 
 
 def test_model_repr_is_deterministic():
