@@ -3,17 +3,17 @@
 A formal ball pairs a carrier point with a finite non-negative rational
 radius.  Balls are ordered by (x, r) <= (y, s) iff d(x, y) <= r - s; the
 strict variant requires d(x, y) < r - s.  Way-below on the ball poset is only
-semi-decidable in general, so the checker is three-valued: a bounded refuter
-produces replayable counterexample families, one closed-form rule answers
-positively where the refuter finds none, and everything else is reported
-unknown.
+semi-decidable in general, so the checker is three-valued: a closed-form rule
+decides where the space names one, a bounded refuter builds the replayable
+counterexample family for each "no", and everything else is unknown.
 
 The rule: (x, r) is way below (y, s) iff (x, r) strictly approximates (y, s),
 except when x = y is a non-center point.  Hence v(x, y) = d(x, y), except
 v(x, x) = inf at a non-center point.  This module tests no space kind for
 these facts; each ``Space`` subclass states them once: ``way_below_rule``
-(the rule's name, None where its kind has no closed form),
-``non_center_points``, ``witness_families`` and ``approach_floor``.
+(the rule's name, None where its kind has no closed form or a table breaks
+the axioms), ``non_center_points``, ``witness_families`` and
+``approach_floor``.  Checks that need the rule raise ``NoOracle`` without it.
 
 The refuter's witness families come in three shapes, each with an exactly
 computable supremum (z, t) at a carrier point z:
@@ -327,11 +327,20 @@ def _way_below_rule(space: Space, b1: FormalBall, b2: FormalBall) -> bool:
     return prec(space, b1, b2)
 
 
-def way_below_oracle(space: Space):
-    """(name, function) for the space's closed-form rule, or None when its
-    kind has none."""
-    name = space.way_below_rule
-    return None if name is None else (name, _way_below_rule)
+def _require_rule(space: Space) -> None:
+    if space.way_below_rule is None:
+        raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
+
+
+def _way_below_rows(space: Space, radii: Sequence[Fraction]) -> tuple[list, list, list]:
+    """The strict rows of ``_ball_rows``, the rule's rows (at a non-center
+    point, the strict rows less its own block) and the scaled radii."""
+    _require_rule(space)
+    strict, scaled = _ball_rows(space, radii, strict=True)
+    m = len(radii)
+    own = [((1 << m) - 1) << (x * m) if p in space.non_center_points else 0
+           for x, p in enumerate(space.points)]
+    return strict, [row & ~own[i // m] for i, row in enumerate(strict)], scaled
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +370,18 @@ def _refute_way_below(space, b1, b2, depth: int) -> Optional[WayBelowWitness]:
 def way_below(space: Space, b1: FormalBall, b2: FormalBall, depth: int = 8) -> Verdict:
     """Three-valued way-below on formal balls.
 
-    Refutations carry a replayable directed family.  Positive answers come
-    only from the space's closed-form rule, and only once the refuter has
-    found no witness: on a table that breaks the triangle inequality the
-    rule can be wrong, and the witness wins.  Everything else is unknown.
+    Where the space names a closed-form rule, the claim holds exactly when
+    the rule does.  The refuter builds the replayable directed family for a
+    "no"; without a rule, what it cannot refute is unknown.
     """
     space.index(b1.center)
     space.index(b2.center)
-    witness = _refute_way_below(space, b1, b2, depth)
-    if witness is not None:
-        return Verdict(REFUTED, justification=witness.kind, witness=witness, depth=depth)
     rule = space.way_below_rule
     if rule is not None and _way_below_rule(space, b1, b2):
         return Verdict(HOLDS, justification=rule)
+    witness = _refute_way_below(space, b1, b2, depth)
+    if witness is not None:
+        return Verdict(REFUTED, justification=witness.kind, witness=witness, depth=depth)
     return Verdict(UNKNOWN, justification="bounded search exhausted", depth=depth)
 
 
@@ -389,8 +397,7 @@ def v_relation(space: Space, x: str, y: str) -> ExtReal:
     """
     space.index(x)
     space.index(y)
-    if space.way_below_rule is None:
-        raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
+    _require_rule(space)
     if x == y and x in space.non_center_points:
         return INF
     return space.dist(x, y)
@@ -401,8 +408,7 @@ def center_point_check(space: Space, x: str) -> bool:
     differ only at v(x, x) = inf for x in non_center_points, so in closed
     form: x is no non-center point, or d(x, x) is already inf."""
     space.index(x)
-    if space.way_below_rule is None:
-        raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
+    _require_rule(space)
     return x not in space.non_center_points or space.dist(x, x).is_infinite
 
 
@@ -426,31 +432,22 @@ def smyth_probe(
     center point, and no gap between strict approximation and way-below.
     Past the budget, pairs are drawn with replacement and each gap hit is
     listed once, in the order first drawn."""
-    if way_below_oracle(space) is None:
-        raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
-    non_centers = [x for x in space.points if not center_point_check(space, x)]
     radii = [Fraction(j) for j in range(4)] + [_dyadic(k) for k in range(1, depth + 1)]
-    balls, strict, _ = _ball_grid(space, radii, strict=True)
-    m, nb = len(radii), len(balls)
-    # The rule rejects a strict approximation only between two balls at one
-    # non-center point, so a gap row is the strict row masked to that block.
-    block = (1 << m) - 1  # the radius bits of one point
-    gap_rows = [
-        row & block << (i - i % m) if balls[i].center in space.non_center_points else 0
-        for i, row in enumerate(strict)
-    ]
+    strict, rule, _ = _way_below_rows(space, radii)
+    non_centers = [x for x in space.points if not center_point_check(space, x)]
+    gap_rows = [s & ~w for s, w in zip(strict, rule)]
+    nb, ball_at = len(gap_rows), _ball_at(space, radii)
     if nb * nb <= sample_budget:
         mode, used_seed = "exhaustive", None
-        gaps = [(balls[i], balls[j]) for i, row in enumerate(gap_rows) for j in _bits(row)]
+        gaps = [(ball_at(i), ball_at(j)) for i, row in enumerate(gap_rows) for j in _bits(row)]
     else:
         mode, used_seed = "sampled", seed
         gaps = []
         if any(gap_rows):  # otherwise no draw can find a gap
             rng = random.Random(seed)
             draws = (divmod(rng.randrange(nb * nb), nb) for _ in range(sample_budget))
-            # each gap once, in the order it was first drawn
             hits = dict.fromkeys((i, j) for i, j in draws if gap_rows[i] >> j & 1)
-            gaps = [(balls[i], balls[j]) for i, j in hits]
+            gaps = [(ball_at(i), ball_at(j)) for i, j in hits]
     return SmythReport(non_centers, gaps, mode, used_seed, depth)
 
 
@@ -688,12 +685,10 @@ class OrderLawsReport:
         return self.reflexive_ok and self.antisymmetric_ok and self.transitive_ok
 
 
-def _ball_grid(space: Space, radii: Sequence, strict: bool = False) -> tuple[list, list, list]:
-    """The balls over the carrier and radius grid, by point then radius, and
-    their rows and scaled radii from ``_ball_rows``."""
-    radii = [as_fraction(r) for r in radii]
-    rows, scaled = _ball_rows(space, radii, strict)
-    return [FormalBall(p, r) for p in space.points for r in radii], rows, scaled
+def _ball_at(space: Space, radii: Sequence[Fraction]):
+    """Ball i of the grid, by point then radius, built only when reported."""
+    m = len(radii)
+    return lambda i: FormalBall(space.points[i // m], radii[i % m])
 
 
 def _ball_rows(space: Space, radii: Sequence[Fraction], strict: bool = False) -> tuple[list, list]:
@@ -738,28 +733,32 @@ def order_laws_report(
     given radius grid.  Uniform radius shifts cancel in r - s, so the order
     is shift invariant on any table: ``standard_ok`` holds by construction,
     and a shift is only refused where it takes a radius below zero."""
-    balls, rows, _ = _ball_grid(space, radii)
+    radii = [as_fraction(r) for r in radii]
+    rows, scaled = _ball_rows(space, radii)
+    ball_at, m = _ball_at(space, radii), len(radii)
     for a in shifts:
         a = as_fraction(a)
         for r in radii:
-            _nonnegative(as_fraction(r) + a)
-    n = len(balls)
+            _nonnegative(r + a)
+    n = len(rows)
     failures = []
     reflexive_ok = all(rows[i] & (1 << i) for i in range(n))
     if not reflexive_ok:
-        failures.append(("reflexivity", next(balls[i] for i in range(n) if not rows[i] & (1 << i))))
+        i = next(i for i in range(n) if not rows[i] & (1 << i))
+        failures.append(("reflexivity", ball_at(i)))
     antisymmetric_ok = True
     for i in range(n):
         for j in _bits(rows[i] & ~((2 << i) - 1)):
-            if rows[j] >> i & 1 and balls[i] != balls[j]:
+            # a repeated radius makes two grid indices one ball
+            if rows[j] >> i & 1 and (i // m, scaled[i % m]) != (j // m, scaled[j % m]):
                 antisymmetric_ok = False
-                failures.append(("antisymmetry", (balls[i], balls[j])))
+                failures.append(("antisymmetry", (ball_at(i), ball_at(j))))
     transitive_ok = True
     for i in range(n):
         for j in _bits(rows[i]):
             if rows[j] & ~rows[i]:
                 transitive_ok = False
-                failures.append(("transitivity", (balls[i], balls[j])))
+                failures.append(("transitivity", (ball_at(i), ball_at(j))))
     return OrderLawsReport(n, reflexive_ok, antisymmetric_ok, transitive_ok, True, failures)
 
 
@@ -785,9 +784,10 @@ def radius_law_report(
     Families are tents {a, b, c} with a and b below c, which are directed
     because c bounds every subset from inside.
     """
-    balls, above, scaled = _ball_grid(space, radii)  # above[i]: the balls dominating ball i
-    m = len(scaled)
-    below = [[] for _ in balls]
+    radii = [as_fraction(r) for r in radii]
+    above, scaled = _ball_rows(space, radii)  # above[i]: the balls dominating ball i
+    ball_at, m = _ball_at(space, radii), len(radii)
+    below = [[] for _ in above]
     for i, row in enumerate(above):
         for k in _bits(row):
             below[k].append(i)
@@ -814,7 +814,5 @@ def radius_law_report(
         if least is None:
             continue
         if scaled[least % m] != min(scaled[i % m], scaled[j % m], scaled[k % m]):
-            failures.append(
-                ((balls[i], balls[j], balls[k]), balls[least])
-            )
+            failures.append(((ball_at(i), ball_at(j), ball_at(k)), ball_at(least)))
     return RadiusLawReport(len(picks), failures)

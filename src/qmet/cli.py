@@ -4,7 +4,8 @@ Loads spaces, posets, bases and functions from JSON files, dispatches the
 library checks, and emits line-delimited JSON records ending in a summary
 record.  The exit code follows from the summary's verdict: 1 for refuted
 or fail, with the witness printed, and 0 for every other verdict (pass,
-holds, and unknown, which carries no witness); 2 for usage or parse errors.
+holds, and unknown, which carries no witness, or a reason where the check
+needs a way-below closed form the space lacks); 2 for usage or parse errors.
 Identical inputs and seeds produce byte-identical output.
 """
 
@@ -17,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import balls, lipschitz, posets, qideal, spaces
-from .errors import BadInput, NotAnAbstractBasis, QmetError, expect_list, expect_object
+from .errors import BadInput, NoOracle, NotAnAbstractBasis, QmetError, expect_list, expect_object
 from .extreal import as_fraction
 
 
@@ -442,6 +443,8 @@ def main(argv=None) -> int:
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return handler(args, out)
+    except NoOracle as e:  # valid input that the check cannot decide
+        return _summary(out, args.command, "unknown", reason=str(e))
     except (QmetError, OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

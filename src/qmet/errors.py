@@ -62,7 +62,7 @@ class UnknownElement(QmetError):
 
 
 class NoOracle(QmetError):
-    """No closed-form way-below rule is registered for this space kind."""
+    """The space names no closed-form way-below rule (``Space.way_below_rule``)."""
 
 
 class InvalidSup(QmetError):

@@ -7,20 +7,21 @@ way-below jump in the ambient ball poset and a radius contraction by a fixed
 factor, so strict chains of finite elements shorten geometrically and
 nothing in the limit layer ever sits below a finite element.
 
-The order comes from the integer ball-grid kernel of ``qmet.balls``: its
-strict rows over the radii 0, 1, 1/2, ..., 2^-depth, masked by the
-non-center rule and by one halving mask per radius, plus its radius-zero
-rows for the limit layer.  The checks read the model poset's bitmask rows,
-mapping each element to its poset index by name.  The pairwise route, one
-way-below call per element pair, is kept under ``tests/`` as the reference.
+The order comes from the integer ball-grid kernel of ``qmet.balls``: the
+way-below rule's rows over the radii 0, 1, 1/2, ..., 2^-depth, masked by one
+halving mask per radius, plus its radius-zero rows for the limit layer.  A
+space that names no rule has no model (``NoOracle``).  The checks read the
+model poset's bitmask rows, mapping each element to its poset index by name.
+The pairwise route, one way-below call per element pair, is kept under
+``tests/`` as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .balls import FormalBall, _ball_rows, way_below_oracle
-from .errors import NoOracle, QmetError
+from .balls import FormalBall, _ball_rows, _way_below_rows
+from .errors import QmetError
 from .extreal import as_fraction
 from .posets import FinitePoset, _bits, _mask_of, export_dot, quasi_ideal_check
 from .spaces import Space
@@ -71,7 +72,7 @@ def build_model(space: Space, depth: int, factor=Fraction(2)) -> ModelPoset:
     """Assemble the model poset over the given space.
 
     The finite layer holds balls (x, 2^-k) for k up to depth; (x, r) sits
-    strictly below (y, s) when either the ambient oracle puts (x, r) way
+    strictly below (y, s) when either the way-below rule puts (x, r) way
     below (y, s) and r >= factor * s, or both radii are zero and x is below
     y in the specialization order.  Any contraction factor above 1 works;
     2 is the default.
@@ -81,19 +82,15 @@ def build_model(space: Space, depth: int, factor=Fraction(2)) -> ModelPoset:
     factor = as_fraction(factor)
     if factor <= 1:
         raise QmetError("contraction factor must exceed 1")
-    if way_below_oracle(space) is None:
-        raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
 
     radii = [Fraction(0)] + [Fraction(1, 2**k) for k in range(depth + 1)]
     n, m = len(space), len(radii)
     elements = [ModelElement(p, radii[0]) for p in space.points]
     elements += [ModelElement(p, r) for p in space.points for r in radii[1:]]
 
-    # Grid ball i is (point i // m, radii[i % m]); its strict row is the
-    # oracle's strict approximation.  The rule drops the block of its own
-    # point at a non-center point, and halving keeps the radius indices b
-    # with r >= factor * radii[b], the same bits in every point's block.
-    strict, scaled = _ball_rows(space, radii, strict=True)
+    # Grid ball i is (point i // m, radii[i % m]); halving keeps the radius
+    # indices b with r >= factor * radii[b], the same in every point's block.
+    _, rule, scaled = _way_below_rows(space, radii)
     limit_rows, _ = _ball_rows(space, radii[:1])  # d(x, y) <= 0, i.e. d(x, y) = 0
     repeat = sum(1 << (y * m) for y in range(n))
     num, den = factor.numerator, factor.denominator
@@ -102,10 +99,9 @@ def build_model(space: Space, depth: int, factor=Fraction(2)) -> ModelPoset:
     ]
     block = (1 << m) - 1
     rows = [row | 1 << x for x, row in enumerate(limit_rows)]
-    for x, point in enumerate(space.points):
-        own = block << (x * m) if point in space.non_center_points else 0
+    for x in range(n):
         for a in range(1, m):
-            row = strict[x * m + a] & halving[a] & ~own
+            row = rule[x * m + a] & halving[a]
             # to element order: the limit layer, then each point's finite block
             out = 1 << (n + x * (m - 1) + a - 1)
             for y in range(n):

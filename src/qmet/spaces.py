@@ -150,11 +150,13 @@ class FiniteTableSpace(Space):
 
     @cached_property
     def way_below_rule(self) -> Optional[str]:
-        return "metric_strict_approximation" if self.is_symmetric() else None
-
-    def is_symmetric(self) -> bool:
-        rows = self._ints[1]
-        return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
+        """Strict approximation, named exactly where an exhaustive
+        ``check_axioms`` passes.  On a finite quasi-metric table every
+        directed ball family has its sup (z, t) at a center that recurs
+        cofinally while the radii shrink, so (x, r) << (y, s) iff d(x, z) <
+        r - t for every (z, t) >= (y, s): strict approximation, by the
+        triangle inequality through y.  Every point is a center point."""
+        return "metric_strict_approximation" if check_axioms(self, len(self) ** 3).passed else None
 
     def to_json(self) -> dict:
         return {

@@ -94,3 +94,9 @@ def random_table_space(n, seed, symmetric=False):
                 for k in range(n):
                     entry[i][k] = min(entry[i][k], entry[i][j] + entry[j][k])
     return FiniteTableSpace(n_points, entry)
+
+
+def is_symmetric(space):
+    """d(x, y) = d(y, x) on every pair, read off the space's int rows."""
+    rows = space._ints[1]
+    return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))

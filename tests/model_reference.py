@@ -7,7 +7,7 @@ the two routes model by model and report by report."""
 
 from fractions import Fraction
 
-from qmet.balls import way_below_oracle
+from qmet.balls import prec
 from qmet.errors import NoOracle, QmetError
 from qmet.extreal import ZERO, as_fraction
 from qmet.posets import FinitePoset, quasi_ideal_check
@@ -20,10 +20,13 @@ def build_model_pairwise(space, depth, factor=Fraction(2)):
     factor = as_fraction(factor)
     if factor <= 1:
         raise QmetError("contraction factor must exceed 1")
-    orc = way_below_oracle(space)
-    if orc is None:
+    if space.way_below_rule is None:
         raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
-    _, oracle = orc
+
+    def oracle(b1, b2):
+        if b1.center == b2.center and b1.center in space.non_center_points:
+            return False
+        return prec(space, b1, b2)
 
     elements = [ModelElement(p, Fraction(0)) for p in space.points]
     for p in space.points:
@@ -35,7 +38,7 @@ def build_model_pairwise(space, depth, factor=Fraction(2)):
             return True
         if e1.radius == 0 and e2.radius == 0:
             return space.dist(e1.center, e2.center) == ZERO
-        if oracle(space, e1, e2):
+        if oracle(e1, e2):
             return e1.radius >= factor * e2.radius
         return False
 

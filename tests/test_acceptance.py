@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from qmet.balls import (
     GeometricBallFamily,
+    _way_below_rule,
     ball,
     center_point_check,
     order_laws_report,
@@ -16,7 +17,6 @@ from qmet.balls import (
     radius_law_report,
     standardness_probe,
     way_below,
-    way_below_oracle,
 )
 from qmet.extreal import INF, ZERO, ext
 from qmet.lipschitz import (
@@ -168,13 +168,13 @@ def test_criterion_4_gap_between_approximations():
     assert gap_centers == {"inf"}
 
     for space in (real_grid("0", "1/2", "1", "2"), FiniteTableSpace.metric_line(range(5))):
-        name, oracle = way_below_oracle(space)
+        assert space.way_below_rule is not None
         for x in space.points:
             for y in space.points:
                 for r in radii:
                     for s in radii:
                         b1, b2 = ball(x, r), ball(y, s)
-                        assert oracle(space, b1, b2) == prec(space, b1, b2)
+                        assert _way_below_rule(space, b1, b2) == prec(space, b1, b2)
     ok("PASS criterion 4: approximation gaps exactly on the Sorgenfrey pairs and at inf")
 
 

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from qmet.balls import (
-    _ball_grid,
     _ball_rows,
+    _way_below_rule,
     ball,
     center_point_check,
     leq_dplus,
@@ -18,7 +18,6 @@ from qmet.balls import (
     radius_law_report,
     smyth_probe,
     v_relation,
-    way_below_oracle,
 )
 from qmet.errors import BadInput, QmetError
 from qmet.extreal import INF, ZERO, ExtReal
@@ -69,8 +68,7 @@ def raw_table(n, seed):
 def assert_rows_match(space, radii):
     balls = [ball(p, r) for p in space.points for r in radii]
     for strict, relation in ((False, leq_dplus), (True, prec)):
-        got, rows, scaled = _ball_grid(space, radii, strict=strict)
-        assert got == balls
+        rows, scaled = _ball_rows(space, radii, strict=strict)
         want = [
             sum(1 << j for j, b in enumerate(balls) if relation(space, a, b)) for a in balls
         ]
@@ -112,7 +110,7 @@ def test_kernel_rows_match_pairwise_on_tiny_skewed_gap():
 
 
 def test_kernel_on_an_empty_grid(metric_line4):
-    assert _ball_grid(metric_line4, []) == ([], [], [])
+    assert _ball_rows(metric_line4, []) == ([], [])
 
 
 def test_kernel_rejects_a_negative_radius(metric_line4):
@@ -193,9 +191,8 @@ def smyth_gaps_by_pairs(space, depth, sample_budget, seed):
     if len(pairs) > sample_budget:
         rng = random.Random(seed)
         pairs = [pairs[rng.randrange(len(pairs))] for _ in range(sample_budget)]
-    _, rule = way_below_oracle(space)
     return list(dict.fromkeys(
-        (a, b) for a, b in pairs if prec(space, a, b) and not rule(space, a, b)
+        (a, b) for a, b in pairs if prec(space, a, b) and not _way_below_rule(space, a, b)
     ))
 
 
@@ -258,7 +255,7 @@ def test_smyth_non_centers_match_center_point_check(request):
     spaces += [space for seed in range(12) for space in seeded_ruled_spaces(seed)]
     listed = inf_self = 0
     for space in spaces:
-        if way_below_oracle(space) is None:
+        if space.way_below_rule is None:
             continue
         want = [x for x in space.points if not center_point_by_v(space, x)]
         assert [x for x in space.points if not center_point_check(space, x)] == want

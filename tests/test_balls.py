@@ -7,6 +7,7 @@ from qmet.balls import (
     GeometricBallFamily,
     StandardnessWitness,
     WayBelowWitness,
+    _way_below_rule,
     ball,
     center_point_check,
     dplus,
@@ -19,7 +20,6 @@ from qmet.balls import (
     standardness_probe,
     v_relation,
     way_below,
-    way_below_oracle,
 )
 from qmet.errors import InvalidSup, NoOracle, QmetError
 from qmet.extreal import INF, ZERO, ExtReal
@@ -136,21 +136,24 @@ def test_way_below_tailed_unknown_at_depth(tailed_standard):
 
 
 def test_way_below_metric_table_is_strict_approximation(metric_line4):
-    name, oracle = way_below_oracle(metric_line4)
+    assert metric_line4.way_below_rule == "metric_strict_approximation"
     radii = dyadics(3)
     for x in metric_line4.points:
         for y in metric_line4.points:
             for r in radii:
                 for s in radii:
                     b1, b2 = ball(x, r), ball(y, s)
-                    assert oracle(metric_line4, b1, b2) == prec(metric_line4, b1, b2)
+                    assert _way_below_rule(metric_line4, b1, b2) == prec(metric_line4, b1, b2)
 
 
-def test_no_oracle_for_asymmetric_table():
+def test_rule_decides_an_asymmetric_table():
+    # the table passes the axioms, so strict approximation is way-below
     t = FiniteTableSpace(["a", "b"], [[ZERO, ExtReal(1)], [ExtReal(2), ZERO]])
-    assert way_below_oracle(t) is None
+    assert t.way_below_rule == "metric_strict_approximation"
     v = way_below(t, ball("a", Fraction(1, 2)), ball("b", Fraction(1, 4)))
-    assert v.is_refuted or v.is_unknown
+    assert v.is_refuted and v.witness.replay(t)
+    v = way_below(t, ball("a", Fraction(3, 2)), ball("b", Fraction(1, 4)))
+    assert v.is_holds and v.justification == "metric_strict_approximation"
 
 
 def _way_below_on_whole_table(space, b1, b2):
@@ -175,23 +178,23 @@ def _way_below_on_whole_table(space, b1, b2):
 @pytest.mark.parametrize("seed", range(10))
 def test_metric_table_oracle_matches_quantifier(seed):
     space = random_table_space(4, seed, symmetric=True)
-    _, oracle = way_below_oracle(space)
     radii = dyadics(2)
     for x in space.points:
         for y in space.points:
             for r in radii:
                 for s in radii:
                     b1, b2 = ball(x, r), ball(y, s)
-                    assert oracle(space, b1, b2) == _way_below_on_whole_table(
+                    assert _way_below_rule(space, b1, b2) == _way_below_on_whole_table(
                         space, b1, b2
                     )
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_asymmetric_table_refuter_matches_quantifier(seed):
-    # without an oracle the verdict is refuted exactly when the quantifier
-    # fails, and conservatively unknown when the claim is in fact true
+    # the table passes the axioms, so the rule decides: holds exactly when
+    # the quantifier does, and refuted with a replaying witness otherwise
     space = random_table_space(4, seed, symmetric=False)
+    assert space.way_below_rule is not None
     radii = dyadics(2)
     for x in space.points:
         for y in space.points:
@@ -200,8 +203,7 @@ def test_asymmetric_table_refuter_matches_quantifier(seed):
                     b1, b2 = ball(x, r), ball(y, s)
                     v = way_below(space, b1, b2, depth=3)
                     truth = _way_below_on_whole_table(space, b1, b2)
-                    if way_below_oracle(space) is None:
-                        assert v.is_refuted == (not truth)
+                    assert v.is_holds == truth and v.is_refuted == (not truth)
                     if v.is_refuted:
                         assert v.witness.replay(space)
 

@@ -1,7 +1,9 @@
 """Fuzz the exit-code contract of every ``qm`` subcommand: swap one literal
 of a valid run (a flag or argument, or any value inside one of its JSON
 input files) for a hostile value, and require exit 0, 1 or 2, no traceback,
-and exit 1 only together with the record that shows the failure."""
+and exit 1 only together with the record that shows the failure.  A check
+that needs a way-below closed form the space does not name answers unknown
+with exit 0: valid input is not bad input."""
 
 import argparse
 import io
@@ -38,6 +40,14 @@ DIAMOND = {
         [False, False, False, True],
     ],
 }
+TAILED = {"kind": "tailed_sorgenfrey", "a": "1", "b": "1", "c": "1", "values": ["1/2", "1"]}
+# passes the axioms; the second breaks the triangle inequality
+TABLE_ASYM = {"kind": "finite_table", "points": ["a", "b"], "dist": [["0", "1"], ["2", "0"]]}
+TABLE_BROKEN = {
+    "kind": "finite_table",
+    "points": ["a", "b", "c"],
+    "dist": [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]],
+}
 BASIS = {
     "kind": "basis",
     "elements": ["a", "b", "c"],
@@ -70,6 +80,9 @@ DOCS = {
     "skew": SKEW,
     "skew_bad": SKEW_BAD,
     "diamond": DIAMOND,
+    "tailed": TAILED,
+    "table_asym": TABLE_ASYM,
+    "table_broken": TABLE_BROKEN,
     "basis": BASIS,
     "geometric": {"family": {"kind": "geometric", "s": "0"}, "sup": "(0, 0)", "shift": "1"},
     "chain": {
@@ -84,8 +97,16 @@ DOCS = {
     "std_witness": STD_WITNESS,
 }
 
+# Valid runs whose check needs a way-below closed form the space lacks: a
+# kind without one, or a table that breaks the axioms.
+NO_RULE_RUNS = [
+    ["centers", "@skew"],
+    ["smyth", "@tailed"],
+    ["qideal-model", "@table_broken", "--depth", "2"],
+]
+
 # Valid runs of every subcommand; "@name" stands for the file of DOCS[name].
-RUNS = [
+RUNS = NO_RULE_RUNS + [
     ["axioms", "@skew_bad"],
     ["axioms", "@line", "--budget", "10", "--seed", "3"],
     ["order", "@line", "--depth", "2", "--seed", "3"],
@@ -103,6 +124,7 @@ RUNS = [
     ["idl", "@diamond"],
     ["qideal-model", "@diamond", "--depth", "2", "--factor", "3"],
     ["qideal-model", "@grid", "--depth", "2"],
+    ["qideal-model", "@table_asym", "--depth", "2"],
     ["choquet", "@diamond", "--exhaustive", "--depth", "2"],
     ["choquet", "@diamond", "--exhaustive", "--depth", "600"],
     ["choquet", "@diamond", "--depth", "3", "--seed", "2"],
@@ -234,6 +256,27 @@ def test_valid_runs_exit_follows_the_verdict(run):
     summary = json.loads(out.splitlines()[-1])
     assert summary["record"] == "summary" and summary["exit"] == code, (argv, summary)
     assert code == (1 if summary["verdict"] in ("fail", "refuted") else 0), (argv, summary)
+
+
+@pytest.mark.parametrize("run", NO_RULE_RUNS, ids="_".join)
+def test_no_closed_form_is_unknown_not_bad_input(run):
+    """The summary alone, with verdict unknown and the reason, and exit 0."""
+    argv, code, out, err = _run_swapped(run, None, (), None)
+    kind = DOCS[run[1][1:]]["kind"]
+    assert (code, err) == (0, ""), argv
+    assert [json.loads(line) for line in out.splitlines()] == [{
+        "record": "summary",
+        "command": run[0],
+        "verdict": "unknown",
+        "exit": 0,
+        "reason": f"no way-below closed form for kind {kind!r}",
+    }]
+
+
+def test_a_model_on_an_asymmetric_table_passes():
+    argv, code, out, _ = _run_swapped(["qideal-model", "@table_asym", "--depth", "2"], None, (), None)
+    summary = json.loads(out.splitlines()[-1])
+    assert (code, summary["verdict"], summary["elements"]) == (0, "pass", 8), argv
 
 
 @settings(
