@@ -30,7 +30,6 @@ from .spaces import (
     Space,
     TailedSorgenfreySpace,
     check_axioms,
-    load_space,
     space_from_json,
     symmetrize,
 )
@@ -58,7 +57,6 @@ from .posets import (
     quasi_ideal_check,
     rounded_ideal_completion,
     verify_all_plays,
-    way_below_finite,
 )
 from .lipschitz import (
     LscFunction,

@@ -12,8 +12,9 @@ except when x = y is a non-center point.  Hence v(x, y) = d(x, y), except
 v(x, x) = inf at a non-center point.  This module tests no space kind for
 these facts; each ``Space`` subclass states them once: ``way_below_rule``
 (the rule's name, None where its kind has no closed form or a table breaks
-the axioms), ``non_center_points``, ``witness_families`` and
-``approach_floor``.  Checks that need the rule raise ``NoOracle`` without it.
+the axioms, ``rule_gap`` then saying why), ``non_center_points``,
+``witness_families`` and ``approach_floor``.  Checks that need the rule
+raise ``NoOracle`` without it.
 
 The refuter's witness families come in three shapes, each with an exactly
 computable supremum (z, t) at a carrier point z:
@@ -329,7 +330,7 @@ def _way_below_rule(space: Space, b1: FormalBall, b2: FormalBall) -> bool:
 
 def _require_rule(space: Space) -> None:
     if space.way_below_rule is None:
-        raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
+        raise NoOracle(space.rule_gap or f"no way-below closed form for kind {space.kind!r}")
 
 
 def _way_below_rows(space: Space, radii: Sequence[Fraction]) -> tuple[list, list, list]:
@@ -372,7 +373,7 @@ def way_below(space: Space, b1: FormalBall, b2: FormalBall, depth: int = 8) -> V
 
     Where the space names a closed-form rule, the claim holds exactly when
     the rule does.  The refuter builds the replayable directed family for a
-    "no"; without a rule, what it cannot refute is unknown.
+    "no"; without a rule, what it cannot refute is unknown (``rule_gap``).
     """
     space.index(b1.center)
     space.index(b2.center)
@@ -382,7 +383,7 @@ def way_below(space: Space, b1: FormalBall, b2: FormalBall, depth: int = 8) -> V
     witness = _refute_way_below(space, b1, b2, depth)
     if witness is not None:
         return Verdict(REFUTED, justification=witness.kind, witness=witness, depth=depth)
-    return Verdict(UNKNOWN, justification="bounded search exhausted", depth=depth)
+    return Verdict(UNKNOWN, justification=space.rule_gap or "bounded search exhausted", depth=depth)
 
 
 # ---------------------------------------------------------------------------

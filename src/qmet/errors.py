@@ -62,7 +62,7 @@ class UnknownElement(QmetError):
 
 
 class NoOracle(QmetError):
-    """The space names no closed-form way-below rule (``Space.way_below_rule``)."""
+    """Valid input the library cannot decide: no way-below rule, or a broken triangle."""
 
 
 class InvalidSup(QmetError):

@@ -25,7 +25,7 @@ from math import lcm
 from typing import Iterable, Optional, Union
 
 from .balls import FormalBall
-from .errors import QmetError, UnknownPoint, expect_object
+from .errors import NoOracle, QmetError, UnknownPoint, expect_object
 from .extreal import INF, ZERO, ExtReal, as_fraction, ext, int_scale, monus
 from .spaces import Space
 
@@ -81,14 +81,22 @@ def hat_membership(space: Space, b: FormalBall, u: OpenSet) -> bool:
 
 
 def thinning(space: Space, u: OpenSet, r) -> OpenSet:
-    """Points whose radius-r ball still fits: shrinks u by r."""
+    """Points whose radius-r ball still fits: shrinks u by r.  The result is
+    open unless the space breaks the triangle inequality (``NoOracle``)."""
     r = as_fraction(r)
     if r < 0:
         raise QmetError("thinning radius must be non-negative")
-    members = [
-        x for x in space.points if hat_membership(space, FormalBall(x, r), u)
-    ]
-    return OpenSet(space, members)
+    members = [x for x in space.points if hat_membership(space, FormalBall(x, r), u)]
+    try:
+        return OpenSet(space, members)
+    except QmetError:  # x kept, y above it dropped: d(y, z) <= r < d(x, z), z outside u
+        x, y = next((x, y) for x in members for y in space.points
+                    if y not in members and space.specialization_leq(x, y))
+    z = min(u.complement(), key=lambda z: space.dist(y, z))
+    raise NoOracle(
+        f"thinning by {r} breaks a triangle: {x} is kept, {y} above it is not, as"
+        f" d({x},{z}) = {space.dist(x, z)} > {space.dist(y, z)} = d({x},{y}) + d({y},{z})"
+    )
 
 
 def dist_to_complement(space: Space, x: str, u: OpenSet) -> ExtReal:

@@ -4,13 +4,14 @@ Covers the order-theoretic core: way-below on finite posets, ideal and
 rounded-ideal completions, the quasi-ideal layering check, the strong Choquet
 game on the up-set topology, and Hasse-diagram export.
 
-Rows of the order relation are stored as integer bitmasks, which keeps the
-exhaustive validations (transitivity, interpolation) cheap enough to run on
-every construction.  Both completions are built from generators, not by
-enumerating subsets: every ideal of a finite poset is the down-set of one
-element, and the rounded ideals of a finite basis are the below-sets of its
-self-related elements.  The subset enumeration straight from the
-definitions is kept under ``tests/`` as the independent route.
+Rows of the order relation are stored as integer bitmasks.  Only an order
+from outside (``FinitePoset.from_json``, ``from_relation``) is checked; each
+builder's docstring proves its rows a partial order.  Both completions are
+built from generators, not by enumerating subsets: every ideal of a finite
+poset is the down-set of one element, and the rounded ideals of a finite
+basis are the below-sets of its self-related elements.  The subset
+enumeration straight from the definitions is kept under ``tests/`` as the
+independent route.
 """
 
 from __future__ import annotations
@@ -47,41 +48,20 @@ def _mask_of(indices: Iterable[int]) -> int:
     return m
 
 
-def transitive_closure(rows: Sequence[int]) -> list[int]:
-    """Warshall closure on bitmask rows (rows[i] = successors of i)."""
-    out = list(rows)
-    n = len(out)
-    for k in range(n):
-        kbit = 1 << k
-        krow = out[k]
-        for i in range(n):
-            if out[i] & kbit:
-                out[i] |= krow
-    return out
-
-
 class FinitePoset:
-    """An immutable finite partial order, validated on construction."""
+    """An immutable finite partial order."""
 
-    def __init__(self, elements: Sequence[str], leq: Sequence, masks: bool = False):
-        """leq is the boolean relation matrix, or with masks its rows as
-        bitmasks: bit j of leq[i] set iff element i <= element j."""
+    def __init__(self, elements: Sequence[str], up: Sequence[int]):
+        """up[i] is the mask of the elements above element i, already a partial
+        order: ``from_json`` and ``from_relation`` check orders from outside."""
         self._elements = tuple(elements)
         if len(set(self._elements)) != len(self._elements):
             raise NotAPartialOrder("duplicate element names")
-        n = len(self._elements)
-        if masks:
-            if len(leq) != n or any(row < 0 or row >> n for row in leq):
-                raise NotAPartialOrder("relation masks shape mismatch")
-            self._up = list(leq)
-        elif not is_square(leq, n):
-            raise NotAPartialOrder("relation matrix shape mismatch")
-        else:
-            self._up = [_mask_of(j for j in range(n) if leq[i][j]) for i in range(n)]
+        self._up = list(up)
         self._index = {e: i for i, e in enumerate(self._elements)}
-        self._validate()
 
-    def _validate(self):
+    def _validate(self) -> "FinitePoset":
+        """Check reflexivity, antisymmetry and transitivity; return self."""
         n = len(self._elements)
         for i in range(n):
             if not self._up[i] & (1 << i):
@@ -96,27 +76,28 @@ class FinitePoset:
                     raise NotAPartialOrder(
                         f"not transitive through ({self._elements[i]}, {self._elements[j]})"
                     )
+        return self
 
     @classmethod
     def from_relation(
         cls, elements: Sequence[str], pairs: Iterable[tuple[str, str]]
     ) -> "FinitePoset":
-        """Build from generating pairs, closing reflexively and transitively."""
+        """Build from generating pairs, closing reflexively and transitively, and check."""
         elements = tuple(elements)
         index = {e: i for i, e in enumerate(elements)}
         rows = [1 << i for i in range(len(elements))]
         for a, b in pairs:
             rows[index[a]] |= 1 << index[b]
-        return cls(elements, transitive_closure(rows), masks=True)
+        for k, krow in enumerate(rows):  # Warshall closure
+            for i in range(len(rows)):
+                if rows[i] >> k & 1:
+                    rows[i] |= krow
+        return cls(elements, rows)._validate()
 
     @classmethod
     def chain(cls, elements: Sequence[str]) -> "FinitePoset":
         pairs = [(elements[i], elements[i + 1]) for i in range(len(elements) - 1)]
         return cls.from_relation(elements, pairs)
-
-    @classmethod
-    def antichain(cls, elements: Sequence[str]) -> "FinitePoset":
-        return cls.from_relation(elements, [])
 
     def __len__(self):
         return len(self._elements)
@@ -132,10 +113,8 @@ class FinitePoset:
             raise UnknownElement(name) from None
 
     def leq(self, a: str, b: str) -> bool:
+        """a <= b, on a finite poset also a << b: a directed set holds its maximum."""
         return bool(self._up[self.index(a)] & (1 << self.index(b)))
-
-    def leq_by_index(self, i: int, j: int) -> bool:
-        return bool(self._up[i] & (1 << j))
 
     def up_mask(self, i: int) -> int:
         return self._up[i]
@@ -151,9 +130,6 @@ class FinitePoset:
 
     def up_set(self, a: str) -> frozenset:
         return self._set(self._up[self.index(a)])
-
-    def down_set(self, a: str) -> frozenset:
-        return self._set(self._down_rows[self.index(a)])
 
     def covers(self) -> list[tuple[str, str]]:
         """Hasse edges: pairs a < b with nothing strictly between."""
@@ -196,9 +172,14 @@ class FinitePoset:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FinitePoset":
+        """Read an outside document's boolean relation matrix and check it."""
         if expect_object(obj, "a poset").get("kind") != "poset":
             raise NotAPartialOrder(f"unexpected kind {obj.get('kind')!r}")
-        return cls(expect_names(obj["elements"], "elements"), obj["leq"])
+        elements, leq = expect_names(obj["elements"], "elements"), obj["leq"]
+        if not is_square(leq, len(elements)):
+            raise NotAPartialOrder("relation matrix shape mismatch")
+        up = [_mask_of(j for j, v in enumerate(row) if v) for row in leq]
+        return cls(elements, up)._validate()
 
     def __eq__(self, other):
         return (
@@ -209,11 +190,6 @@ class FinitePoset:
 
     def __repr__(self):
         return f"FinitePoset({list(self._elements)!r}, covers={self.covers()!r})"
-
-
-def way_below_finite(p: FinitePoset, a: str, b: str) -> bool:
-    """Way-below on a finite poset coincides with the order itself."""
-    return p.leq(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -231,12 +207,13 @@ def _inclusion_completion(
     elements: tuple[str, ...], masks: Iterable[int]
 ) -> tuple[FinitePoset, list[frozenset], dict]:
     """The distinct sets among masks, ordered by size and then by member
-    indices, their inclusion poset, and the completion name of each mask."""
+    indices, their inclusion poset, and the completion name of each mask.
+    Inclusion among distinct sets is a partial order, so nothing checks it."""
     masks = sorted(set(masks), key=lambda m: (m.bit_count(), list(_bits(m))))
     names = {m: "{" + ",".join(str(elements[i]) for i in _bits(m)) + "}" for m in masks}
     rows = [_mask_of(j for j, b in enumerate(masks) if not a & ~b) for a in masks]
     ideals = [frozenset(elements[i] for i in _bits(m)) for m in masks]
-    return FinitePoset(list(names.values()), rows, masks=True), ideals, names
+    return FinitePoset(list(names.values()), rows), ideals, names
 
 
 def ideal_completion(p: FinitePoset) -> IdealCompletion:
@@ -581,7 +558,7 @@ def export_dot(p: FinitePoset, node_attrs: Optional[Callable[[str], str]] = None
 
 
 # ---------------------------------------------------------------------------
-# Seeded generators (used by tests, demos and sweeps)
+# Seeded generators (used by tests)
 
 
 def random_poset(n: int, seed: int, density: float = 0.4) -> FinitePoset:

@@ -76,6 +76,16 @@ def build_model(space: Space, depth: int, factor=Fraction(2)) -> ModelPoset:
     below (y, s) and r >= factor * s, or both radii are zero and x is below
     y in the specialization order.  Any contraction factor above 1 works;
     2 is the default.
+
+    The rows are a partial order by construction, unchecked.  A rule is named
+    only where the axioms hold (tables pass the exhaustive gate, the other
+    kinds by formula); every row holds its own bit.  Antisymmetric: with
+    factor > 1, halving r >= factor * s makes the finite layer strict; no
+    limit row reaches it; the limit rows, d(x, y) = 0, are antisymmetric by
+    the axioms.  Transitive: prec composes by the triangle inequality,
+    halving composes, and a limit step adds d = 0.  Dropping a non-center
+    point x's own block keeps this: no y != x has d(x, y) and d(y, x) both
+    finite on any kind with non-center points, so no path returns to x.
     """
     if depth < 1:
         raise QmetError("depth must be at least 1")
@@ -108,7 +118,7 @@ def build_model(space: Space, depth: int, factor=Fraction(2)) -> ModelPoset:
                 bits = row >> (y * m) & block
                 out |= (bits & 1) << y | (bits >> 1) << (n + y * (m - 1))
             rows.append(out)
-    poset = FinitePoset([e.name for e in elements], rows, masks=True)
+    poset = FinitePoset([e.name for e in elements], rows)
     return ModelPoset(space, depth, factor, poset, elements)
 
 
@@ -191,8 +201,8 @@ def quasi_ideal_model_check(m: ModelPoset) -> ModelCheckReport:
 
 
 def limit_layer(m: ModelPoset) -> FinitePoset:
-    """The induced poset on the radius-zero elements, named by carrier point."""
-    return FinitePoset(list(m.space.points), _limit_masks(m), masks=True)
+    """The model's order restricted to the limit layer, by carrier point."""
+    return FinitePoset(list(m.space.points), _limit_masks(m))
 
 
 def model_to_dot(m: ModelPoset) -> str:

@@ -14,7 +14,6 @@ machinery for witness families whose members fall outside the carrier.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,8 +66,10 @@ class Space:
     # form); non_center_points are the x with v(x, x) infinite, read only
     # where a rule is named; witness_families are the families the refuter
     # builds and replay accepts, in search order; approach_floor bounds a
-    # left approach from below, whose centers stay above it (None: no bound).
+    # left approach from below, whose centers stay above it (None: no bound);
+    # rule_gap says why a kind whose rule rests on a check names none here.
     way_below_rule: Optional[str] = None
+    rule_gap: Optional[str] = None
     non_center_points: frozenset = frozenset()
     witness_families: tuple = ("radius_shrink",)
     approach_floor: Optional[Fraction] = None
@@ -149,6 +150,14 @@ class FiniteTableSpace(Space):
         self._ints = (den, [flat[i * n:(i + 1) * n] for i in range(n)])
 
     @cached_property
+    def rule_gap(self) -> Optional[str]:
+        """The first violation an exhaustive ``check_axioms`` finds."""
+        for v in check_axioms(self, len(self) ** 3).violations:
+            where = f"where the table breaks {v.axiom} at ({', '.join(map(str, v.witness))})"
+            return f"no way-below closed form {where}: {v.detail}"
+        return None
+
+    @cached_property
     def way_below_rule(self) -> Optional[str]:
         """Strict approximation, named exactly where an exhaustive
         ``check_axioms`` passes.  On a finite quasi-metric table every
@@ -156,7 +165,7 @@ class FiniteTableSpace(Space):
         cofinally while the radii shrink, so (x, r) << (y, s) iff d(x, z) <
         r - t for every (z, t) >= (y, s): strict approximation, by the
         triangle inequality through y.  Every point is a center point."""
-        return "metric_strict_approximation" if check_axioms(self, len(self) ** 3).passed else None
+        return None if self.rule_gap else "metric_strict_approximation"
 
     def to_json(self) -> dict:
         return {
@@ -464,8 +473,3 @@ def space_from_json(obj: dict) -> Space:
             obj["a"], obj["b"], obj["c"], expect_list(obj["values"], "values")
         )
     raise QmetError(f"unknown space kind {kind!r}")
-
-
-def load_space(path: str) -> Space:
-    with open(path, "r", encoding="utf-8") as fh:
-        return space_from_json(json.load(fh))

@@ -21,7 +21,7 @@ def build_model_pairwise(space, depth, factor=Fraction(2)):
     if factor <= 1:
         raise QmetError("contraction factor must exceed 1")
     if space.way_below_rule is None:
-        raise NoOracle(f"no way-below closed form for kind {space.kind!r}")
+        raise NoOracle(space.rule_gap or f"no way-below closed form for kind {space.kind!r}")
 
     def oracle(b1, b2):
         if b1.center == b2.center and b1.center in space.non_center_points:
@@ -42,9 +42,13 @@ def build_model_pairwise(space, depth, factor=Fraction(2)):
             return e1.radius >= factor * e2.radius
         return False
 
-    names = [e.name for e in elements]
-    matrix = [[below(a, b) for b in elements] for a in elements]
-    return ModelPoset(space, depth, factor, FinitePoset(names, matrix), elements)
+    # from_json validates the partial-order laws that build_model proves
+    poset = FinitePoset.from_json({
+        "kind": "poset",
+        "elements": [e.name for e in elements],
+        "leq": [[below(a, b) for b in elements] for a in elements],
+    })
+    return ModelPoset(space, depth, factor, poset, elements)
 
 
 def _limit_rows(m):

@@ -33,27 +33,31 @@ def _inclusion_poset(elements, ideals: list) -> FinitePoset:
     return the poset of their inclusions."""
     ideals.sort(key=lambda s: (len(s), sorted(elements.index(e) for e in s)))
     names = [_set_name(elements, s) for s in ideals]
-    return FinitePoset(names, [[a <= b for b in ideals] for a in ideals])
+    leq = [[a <= b for b in ideals] for a in ideals]
+    return FinitePoset.from_json({"kind": "poset", "elements": names, "leq": leq})
 
 
 def ideal_completion_by_enumeration(p: FinitePoset) -> IdealCompletion:
     """Every nonempty subset that is a down-set and directed."""
     n = len(p)
-    down = [sum(1 << j for j in range(n) if p.leq_by_index(j, i)) for i in range(n)]
+    leq = [[p.leq(a, b) for b in p.elements] for a in p.elements]
+    down = [sum(1 << j for j in range(n) if leq[j][i]) for i in range(n)]
     ideals = []
     for mask in range(1, 1 << n):
         members = list(_bits(mask))
         if any(down[i] & ~mask for i in members):
             continue
         directed = all(
-            any(p.leq_by_index(i, k) and p.leq_by_index(j, k) for k in members)
+            any(leq[i][k] and leq[j][k] for k in members)
             for i in members
             for j in members
         )
         if directed:
             ideals.append(frozenset(p.elements[i] for i in members))
     poset = _inclusion_poset(p.elements, ideals)
-    embedding = {e: _set_name(p.elements, p.down_set(e)) for e in p.elements}
+    embedding = {
+        e: _set_name(p.elements, {a for a in p.elements if p.leq(a, e)}) for e in p.elements
+    }
     return IdealCompletion(poset, ideals, embedding)
 
 
@@ -113,27 +117,24 @@ def way_below_by_enumeration(p: FinitePoset, a: str, b: str) -> bool:
     posets of at most ~8 elements.
     """
     n = len(p)
+    leq = [[p.leq(x, y) for y in p.elements] for x in p.elements]
     ia, ib = p.index(a), p.index(b)
     for mask in range(1, 1 << n):
         members = list(_bits(mask))
         directed = True
         for i in members:
             for j in members:
-                if not any(
-                    p.leq_by_index(i, k) and p.leq_by_index(j, k) for k in members
-                ):
+                if not any(leq[i][k] and leq[j][k] for k in members):
                     directed = False
                     break
             if not directed:
                 break
         if not directed:
             continue
-        tops = [k for k in members if all(p.leq_by_index(i, k) for i in members)]
+        tops = [k for k in members if all(leq[i][k] for i in members)]
         if not tops:
             continue
         sup = tops[0]
-        if p.leq_by_index(ib, sup) and not any(
-            p.leq_by_index(ia, k) for k in members
-        ):
+        if leq[ib][sup] and not any(leq[ia][k] for k in members):
             return False
     return True

@@ -77,8 +77,8 @@ class ReferenceTable:
         if isinstance(space, FiniteTableSpace):
             self.table = [[ext(v) for v in row] for row in raw]
         elif isinstance(space, PosetSpace):
-            leq = space.poset.leq_by_index
-            self.table = [[ZERO if leq(i, j) else INF for j in range(n)] for i in range(n)]
+            up = space.poset.up_mask
+            self.table = [[ZERO if up(i) >> j & 1 else INF for j in range(n)] for i in range(n)]
         else:
             dist = AMBIENT_DIST[type(space)]
             values = [space.value(p) for p in self.points]

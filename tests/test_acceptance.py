@@ -299,7 +299,7 @@ def test_criterion_9_completions():
         for j in range(3):
             assert chain.poset.leq(names[i], names[j]) == (i <= j)
     for n in range(1, 6):
-        anti = ideal_completion(FinitePoset.antichain([f"a{i}" for i in range(n)]))
+        anti = ideal_completion(FinitePoset.from_relation([f"a{i}" for i in range(n)], []))
         assert len(anti.poset) == n
         assert all(
             anti.poset.leq(a, b) == (a == b)

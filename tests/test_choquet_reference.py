@@ -44,7 +44,7 @@ def test_play_count_equals_the_literal_transcript_count(n):
 def test_play_count_on_named_shapes():
     shapes = [
         FinitePoset.chain(["a", "b", "c"]),
-        FinitePoset.antichain(["a", "b", "c"]),
+        FinitePoset.from_relation(["a", "b", "c"], []),
         FinitePoset.from_relation("abcd", [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
     ]
     for p in shapes:

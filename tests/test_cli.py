@@ -493,7 +493,10 @@ def test_every_subcommand_ignores_hash_seed(
 ):
     from qmet.balls import GeometricBallFamily, parse_ball, standardness_probe, way_below
     from qmet.cli import build_parser
-    from qmet.spaces import load_space
+    from qmet.spaces import space_from_json
+
+    def load_space(path):
+        return space_from_json(json.loads(Path(path).read_text()))
 
     def write(name, doc):
         path = tmp_path / name

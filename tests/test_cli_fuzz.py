@@ -48,6 +48,13 @@ TABLE_BROKEN = {
     "points": ["a", "b", "c"],
     "dist": [["0", "1", "3"], ["1", "0", "1"], ["3", "1", "0"]],
 }
+# breaks the triangle at (a, b, c), so thinning the open {a, b} by 2 keeps a
+# and drops b above it
+TABLE_THIN = {
+    "kind": "finite_table",
+    "points": ["a", "b", "c"],
+    "dist": [["0", "0", "3"], ["1", "0", "1"], ["1", "1", "0"]],
+}
 BASIS = {
     "kind": "basis",
     "elements": ["a", "b", "c"],
@@ -83,6 +90,7 @@ DOCS = {
     "tailed": TAILED,
     "table_asym": TABLE_ASYM,
     "table_broken": TABLE_BROKEN,
+    "table_thin": TABLE_THIN,
     "basis": BASIS,
     "geometric": {"family": {"kind": "geometric", "s": "0"}, "sup": "(0, 0)", "shift": "1"},
     "chain": {
@@ -104,6 +112,13 @@ NO_RULE_RUNS = [
     ["smyth", "@tailed"],
     ["qideal-model", "@table_broken", "--depth", "2"],
 ]
+# why each space of NO_RULE_RUNS has no closed form
+NO_RULE_REASONS = {
+    "skew": "for kind 'skewed_interval'",
+    "tailed": "for kind 'tailed_sorgenfrey'",
+    "table_broken": "where the table breaks triangle at (a, b, c): d(x,z) = 3 > 2 = d(x,y) + d(y,z)",
+}
+THIN_UNDECIDED = ["thin", "@table_thin", "--open", "a,b", "--r", "2"]
 
 # Valid runs of every subcommand; "@name" stands for the file of DOCS[name].
 RUNS = NO_RULE_RUNS + [
@@ -120,6 +135,7 @@ RUNS = NO_RULE_RUNS + [
     ["envelope", "@line", "@func", "--alpha", "1/2"],
     ["dist", "@line", "--open", "0,1", "--point", "2"],
     ["thin", "@line", "--open", "0,1", "--r", "1"],
+    THIN_UNDECIDED,
     ["rideal", "@basis"],
     ["idl", "@diamond"],
     ["qideal-model", "@diamond", "--depth", "2", "--factor", "3"],
@@ -262,14 +278,28 @@ def test_valid_runs_exit_follows_the_verdict(run):
 def test_no_closed_form_is_unknown_not_bad_input(run):
     """The summary alone, with verdict unknown and the reason, and exit 0."""
     argv, code, out, err = _run_swapped(run, None, (), None)
-    kind = DOCS[run[1][1:]]["kind"]
     assert (code, err) == (0, ""), argv
     assert [json.loads(line) for line in out.splitlines()] == [{
         "record": "summary",
         "command": run[0],
         "verdict": "unknown",
         "exit": 0,
-        "reason": f"no way-below closed form for kind {kind!r}",
+        "reason": f"no way-below closed form {NO_RULE_REASONS[run[1][1:]]}",
+    }]
+
+
+def test_thinning_that_breaks_the_triangle_is_unknown():
+    """{a, b} is open, but its thinning {a} is not: the library built that
+    set, so the answer is unknown with the broken triangle, not bad input."""
+    argv, code, out, err = _run_swapped(THIN_UNDECIDED, None, (), None)
+    assert (code, err) == (0, ""), argv
+    assert [json.loads(line) for line in out.splitlines()] == [{
+        "record": "summary",
+        "command": "thin",
+        "verdict": "unknown",
+        "exit": 0,
+        "reason": "thinning by 2 breaks a triangle: a is kept, b above it is not, "
+        "as d(a,c) = 3 > 1 = d(a,b) + d(b,c)",
     }]
 
 

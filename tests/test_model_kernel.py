@@ -15,7 +15,7 @@ from model_reference import build_model_pairwise, model_check_pairwise
 from qmet.cli import main
 from qmet.errors import NoOracle
 from qmet.extreal import ExtReal
-from qmet.posets import FinitePoset, quasi_ideal_check, transitive_closure
+from qmet.posets import FinitePoset, quasi_ideal_check
 from qmet.qideal import ModelPoset, build_model, quasi_ideal_model_check
 from qmet.spaces import (
     FiniteTableSpace,
@@ -38,7 +38,7 @@ def _spaces():
     return {
         "poset_chain": PosetSpace(FinitePoset.chain(["a", "b", "c"])),
         "poset_diamond": PosetSpace(diamond),
-        "poset_antichain": PosetSpace(FinitePoset.antichain(["x", "y"])),
+        "poset_antichain": PosetSpace(FinitePoset.from_relation(["x", "y"], [])),
         "real_grid": RealGridSpace([parse_point_value(s) for s in ["0", "1/3", "1", "2"]]),
         "real_grid_inf": RealGridSpace([parse_point_value(s) for s in ["0", "1/2", "1", "inf"]]),
         "sorgenfrey": SorgenfreyGridSpace(["0", "1/4", "1", "3/2"]),
@@ -152,11 +152,9 @@ def test_random_symmetric_tables_agree_with_reference():
 def _tampered(m, extra_pairs=(), depth=None):
     """m's order plus the given pairs, closed transitively, as a model of
     the given depth (m's by default)."""
-    names = list(m.poset.elements)
-    rows = [m.poset.up_mask(i) for i in range(len(names))]
-    for a, b in extra_pairs:
-        rows[names.index(a)] |= 1 << names.index(b)
-    poset = FinitePoset(names, transitive_closure(rows), masks=True)
+    names = m.poset.elements
+    pairs = [(a, b) for a in names for b in names if m.poset.leq(a, b)]
+    poset = FinitePoset.from_relation(names, pairs + list(extra_pairs))
     return ModelPoset(m.space, m.depth if depth is None else depth, m.factor, poset, m.elements)
 
 
@@ -180,7 +178,7 @@ def _failed_clauses(report):
     ids=["halving", "chain", "limit"],
 )
 def test_tampered_model_fails_one_clause(factor, depth, pairs, claimed_depth, failed):
-    space = PosetSpace(FinitePoset.antichain(["x", "y"]))
+    space = PosetSpace(FinitePoset.from_relation(["x", "y"], []))
     m = build_model(space, depth=depth, factor=Fraction(factor))
     tampered = _tampered(m, pairs, claimed_depth)
     report = quasi_ideal_model_check(tampered)

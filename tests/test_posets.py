@@ -24,7 +24,6 @@ from qmet.posets import (
     rounded_ideal_completion,
     rounded_ideals_by_generators,
     verify_all_plays,
-    way_below_finite,
 )
 
 from subset_enumeration import (
@@ -36,28 +35,33 @@ from subset_enumeration import (
 )
 
 
+def _poset_doc(elements, leq):
+    return {"kind": "poset", "elements": elements, "leq": leq}
+
+
 def test_construction_validation():
-    with pytest.raises(NotAPartialOrder):
-        FinitePoset(["a", "b"], [[False, True], [False, True]])  # not reflexive
-    with pytest.raises(NotAPartialOrder):
-        FinitePoset(["a", "b"], [[True, True], [True, True]])  # not antisymmetric
-    with pytest.raises(NotAPartialOrder):
-        FinitePoset(
-            ["a", "b", "c"],
-            [[True, True, False], [False, True, True], [False, False, True]],
-        )  # not transitive
+    # an order from outside is checked once, where it enters
+    for leq, law in [
+        ([[False, True], [False, True]], "not reflexive"),
+        ([[True, True], [True, True]], "not antisymmetric"),
+        ([[True, True, False], [False, True, True], [False, False, True]], "not transitive"),
+        ([[True, False], [True]], "shape mismatch"),
+    ]:
+        with pytest.raises(NotAPartialOrder, match=law):
+            FinitePoset.from_json(_poset_doc(["a", "b", "c"][: len(leq)], leq))
+    with pytest.raises(NotAPartialOrder, match="not antisymmetric"):
+        FinitePoset.from_relation(["a", "b"], [("a", "b"), ("b", "a")])
+    with pytest.raises(NotAPartialOrder, match="duplicate"):
+        FinitePoset(["a", "a"], [0b01, 0b10])
 
 
 def test_construction_from_masks():
+    # the constructor takes up-masks, bit j of row i set iff i <= j
     matrix = [[True, True, True], [False, True, True], [False, False, True]]
-    assert FinitePoset(["a", "b", "c"], [0b111, 0b110, 0b100], masks=True) == FinitePoset(
-        ["a", "b", "c"], matrix
-    )
-    for bad in ([0b11], [0b11, 0b110], [0b01, -1]):  # short, a stray bit, negative
-        with pytest.raises(NotAPartialOrder, match="masks shape mismatch"):
-            FinitePoset(["a", "b"], bad, masks=True)
-    with pytest.raises(NotAPartialOrder, match="not transitive"):
-        FinitePoset(["a", "b", "c"], [0b011, 0b110, 0b100], masks=True)
+    p = FinitePoset(["a", "b", "c"], [0b111, 0b110, 0b100])
+    assert p == FinitePoset.from_json(_poset_doc(["a", "b", "c"], matrix))
+    assert p == FinitePoset.chain(["a", "b", "c"])
+    assert p.to_json()["leq"] == matrix
 
 
 def test_unknown_element():
@@ -67,11 +71,12 @@ def test_unknown_element():
 
 
 def test_way_below_finite_examples():
+    # on a finite poset way-below is the order, so leq answers it
     chain = FinitePoset.chain(["a", "b", "c"])
-    assert way_below_finite(chain, "a", "c")
-    anti = FinitePoset.antichain(["a", "b"])
-    assert not way_below_finite(anti, "a", "b")
-    assert way_below_finite(anti, "a", "a")
+    assert chain.leq("a", "c")
+    anti = FinitePoset.from_relation(["a", "b"], [])
+    assert not anti.leq("a", "b")
+    assert anti.leq("a", "a")
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -79,7 +84,7 @@ def test_way_below_matches_enumeration(seed):
     p = random_poset(5, seed)
     for a in p.elements:
         for b in p.elements:
-            assert way_below_finite(p, a, b) == way_below_by_enumeration(p, a, b)
+            assert p.leq(a, b) == way_below_by_enumeration(p, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +103,7 @@ def test_ideal_completion_chain():
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_ideal_completion_antichain(n):
-    p = FinitePoset.antichain([f"a{i}" for i in range(n)])
+    p = FinitePoset.from_relation([f"a{i}" for i in range(n)], [])
     c = ideal_completion(p)
     assert len(c.poset) == n
     for a in c.poset.elements:
@@ -107,7 +112,7 @@ def test_ideal_completion_antichain(n):
 
 
 def test_ideal_completion_empty():
-    c = ideal_completion(FinitePoset.antichain([]))
+    c = ideal_completion(FinitePoset.from_relation([], []))
     assert len(c.poset) == 0
 
 
@@ -115,7 +120,7 @@ def test_completions_beyond_enumeration_sizes():
     # both completions come from generators, so sizes far past what subset
     # enumeration can reach complete with one ideal per generator
     for p in (
-        FinitePoset.antichain([f"a{i}" for i in range(13)]),
+        FinitePoset.from_relation([f"a{i}" for i in range(13)], []),
         FinitePoset.chain([f"c{i}" for i in range(20)]),
     ):
         assert len(ideal_completion(p).ideals) == len(p)
@@ -289,7 +294,7 @@ def test_quasi_ideal_powerset_all_finite():
 
 
 def test_choquet_single_point():
-    p = FinitePoset.antichain(["x"])
+    p = FinitePoset.from_relation(["x"], [])
     t = choquet_play(p, "seeded", depth=3, seed=1)
     assert t.alpha_won()
     assert t.intersection_u() == frozenset({"x"})
@@ -311,7 +316,7 @@ def test_choquet_three_chain_exhaustive():
 
 
 def test_choquet_transcript_intersections():
-    p = FinitePoset.antichain(["a", "b"])
+    p = FinitePoset.from_relation(["a", "b"], [])
     t = play(p, [("a", ["a", "b"]), ("a", ["a"])])
     assert t.intersections_equal()
     assert t.intersection_u() == frozenset({"a"})
@@ -337,7 +342,7 @@ def test_choquet_illegal_moves():
 
 def test_legal_moves_enumeration_is_canonical():
     # opens ordered lexicographically by index tuple, then the point by index
-    p = FinitePoset.antichain(["a", "b"])
+    p = FinitePoset.from_relation(["a", "b"], [])
     moves = legal_beta_moves(p, frozenset({"a", "b"}))
     assert moves == [
         ("a", frozenset({"a"})),
@@ -375,13 +380,13 @@ def test_export_dot_chain():
 
 
 def test_export_dot_antichain():
-    text = export_dot(FinitePoset.antichain(["a", "b"]))
+    text = export_dot(FinitePoset.from_relation(["a", "b"], []))
     assert '"a";' in text and '"b";' in text
     assert "->" not in text
 
 
 def test_export_dot_empty():
-    assert export_dot(FinitePoset.antichain([])) == "digraph { }"
+    assert export_dot(FinitePoset.from_relation([], [])) == "digraph { }"
 
 
 def test_export_dot_skips_transitive_edges():

@@ -170,4 +170,6 @@ def way_below_reference(space: Space, b1, b2, depth: int = 8) -> Verdict:
     rule = space.way_below_rule
     if rule is not None and _way_below_rule(space, b1, b2):
         return Verdict(HOLDS, justification=rule)
-    return Verdict(UNKNOWN, justification="bounded search exhausted", depth=depth)
+    return Verdict(
+        UNKNOWN, justification=space.rule_gap or "bounded search exhausted", depth=depth
+    )
