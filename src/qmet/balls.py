@@ -46,7 +46,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import BadInput, InvalidSup, NoOracle, QmetError, expect_list, expect_object
 from .extreal import INF, ExtReal, as_fraction, monus
-from .posets import _bits
+from .posets import _bits, _mask_of
 from .spaces import INF_POINT, SkewedIntervalSpace, Space, point_label
 
 HOLDS = "holds"
@@ -137,10 +137,6 @@ class Verdict:
     @property
     def is_refuted(self):
         return self.status == REFUTED
-
-    @property
-    def is_unknown(self):
-        return self.status == UNKNOWN
 
     def to_json(self) -> dict:
         out = {"status": self.status, "justification": self.justification}
@@ -333,15 +329,15 @@ def _require_rule(space: Space) -> None:
         raise NoOracle(space.rule_gap or f"no way-below closed form for kind {space.kind!r}")
 
 
-def _way_below_rows(space: Space, radii: Sequence[Fraction]) -> tuple[list, list, list]:
-    """The strict rows of ``_ball_rows``, the rule's rows (at a non-center
-    point, the strict rows less its own block) and the scaled radii."""
+def _way_below_rows(space: Space, radii: Sequence[Fraction]) -> tuple[list, list]:
+    """The rule's rows (the strict rows of ``_ball_rows``, less a non-center
+    point's own block) and the scaled radii."""
     _require_rule(space)
     strict, scaled = _ball_rows(space, radii, strict=True)
     m = len(radii)
     own = [((1 << m) - 1) << (x * m) if p in space.non_center_points else 0
            for x, p in enumerate(space.points)]
-    return strict, [row & ~own[i // m] for i, row in enumerate(strict)], scaled
+    return [row & ~own[i // m] for i, row in enumerate(strict)], scaled
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +402,11 @@ def v_relation(space: Space, x: str, y: str) -> ExtReal:
 
 def center_point_check(space: Space, x: str) -> bool:
     """x is a center point exactly when v(x, .) agrees with d(x, .).  They
-    differ only at v(x, x) = inf for x in non_center_points, so in closed
-    form: x is no non-center point, or d(x, x) is already inf."""
+    differ only at v(x, x) = inf for x in non_center_points, where d(x, x)
+    is 0, as a rule is named only where the axioms hold."""
     space.index(x)
     _require_rule(space)
-    return x not in space.non_center_points or space.dist(x, x).is_infinite
+    return x not in space.non_center_points
 
 
 @dataclass
@@ -431,12 +427,17 @@ def smyth_probe(
 ) -> SmythReport:
     """Probe both halves of the Smyth-completeness criterion: every point a
     center point, and no gap between strict approximation and way-below.
-    Past the budget, pairs are drawn with replacement and each gap hit is
-    listed once, in the order first drawn."""
+    A rule is named only where the axioms hold, so d(x, x) = 0 there, and the
+    gaps are exactly the pairs ((x, r), (x, s)) with x a non-center point
+    and r > s.  Past the budget, pairs are drawn with replacement and each
+    gap hit is listed once, in the order first drawn."""
+    _require_rule(space)
     radii = [Fraction(j) for j in range(4)] + [_dyadic(k) for k in range(1, depth + 1)]
-    strict, rule, _ = _way_below_rows(space, radii)
-    non_centers = [x for x in space.points if not center_point_check(space, x)]
-    gap_rows = [s & ~w for s, w in zip(strict, rule)]
+    non_centers = [x for x in space.points if x in space.non_center_points]
+    m = len(radii)
+    below = [_mask_of(b for b, s in enumerate(radii) if s < r) for r in radii]
+    gap_rows = [below[a] << (x * m) if p in space.non_center_points else 0
+                for x, p in enumerate(space.points) for a in range(m)]
     nb, ball_at = len(gap_rows), _ball_at(space, radii)
     if nb * nb <= sample_budget:
         mode, used_seed = "exhaustive", None
@@ -678,11 +679,10 @@ class OrderLawsReport:
     reflexive_ok: bool
     antisymmetric_ok: bool
     transitive_ok: bool
-    standard_ok: bool
     failures: list
 
     @property
-    def passed(self):  # standard_ok holds by construction
+    def passed(self):
         return self.reflexive_ok and self.antisymmetric_ok and self.transitive_ok
 
 
@@ -732,8 +732,8 @@ def order_laws_report(
 ) -> OrderLawsReport:
     """Exhaustively verify that the ball order is a partial order on the
     given radius grid.  Uniform radius shifts cancel in r - s, so the order
-    is shift invariant on any table: ``standard_ok`` holds by construction,
-    and a shift is only refused where it takes a radius below zero."""
+    is shift invariant on any table, and a shift is only refused where it
+    takes a radius below zero."""
     radii = [as_fraction(r) for r in radii]
     rows, scaled = _ball_rows(space, radii)
     ball_at, m = _ball_at(space, radii), len(radii)
@@ -760,7 +760,7 @@ def order_laws_report(
             if rows[j] & ~rows[i]:
                 transitive_ok = False
                 failures.append(("transitivity", (ball_at(i), ball_at(j))))
-    return OrderLawsReport(n, reflexive_ok, antisymmetric_ok, transitive_ok, True, failures)
+    return OrderLawsReport(n, reflexive_ok, antisymmetric_ok, transitive_ok, failures)
 
 
 @dataclass

@@ -32,12 +32,13 @@ def expect_list(obj, what: str, length: Optional[int] = None) -> list:
 
 
 def expect_names(obj, what: str) -> list:
-    """A JSON array of names: strings or other scalars, never an array or
-    an object, which cannot name a point."""
-    for name in expect_list(obj, what):
-        if isinstance(name, (list, tuple, dict)):
+    """A JSON array of names as strings: a number names by its str, while
+    an array, an object, true, false or null cannot name a point."""
+    names = expect_list(obj, what)
+    for name in names:
+        if isinstance(name, bool) or not isinstance(name, (str, int, float)):
             raise BadInput(f"{what} must be names, got a {type(name).__name__}")
-    return obj
+    return [str(name) for name in names]
 
 
 def is_square(rows, n: int) -> bool:

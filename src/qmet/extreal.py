@@ -89,8 +89,8 @@ class ExtReal:
             return self._frac == other
         return NotImplemented
 
-    def __hash__(self):
-        return hash(("qmet.ExtReal", self._frac))
+    def __hash__(self):  # equal to an int or Fraction, so hashed as one
+        return hash(self._frac)
 
     def _cmp(self, other: "ExtReal") -> int:
         a, b = self._frac, other._frac

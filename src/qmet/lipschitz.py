@@ -26,14 +26,8 @@ from typing import Iterable, Optional, Union
 
 from .balls import FormalBall
 from .errors import NoOracle, QmetError, UnknownPoint, expect_object
-from .extreal import INF, ZERO, ExtReal, as_fraction, ext, int_scale, monus
+from .extreal import INF, ZERO, ExtReal, as_fraction, ext, int_scale
 from .spaces import Space
-
-
-def extended_value_dist(u: ExtReal, v: ExtReal) -> ExtReal:
-    """One-way distance between extended non-negative values: how far u sits
-    above v: ``monus``, with inf above inf at 0."""
-    return ZERO if u <= v else monus(u, v)
 
 
 class OpenSet:
@@ -123,8 +117,8 @@ class LscFunction:
     """A total map from the carrier into the extended non-negative rationals.
 
     Any total map is admitted; monotonicity with respect to the
-    specialization order (a consequence of lower semicontinuity) is checked
-    separately and reported, not enforced.
+    specialization order (a consequence of lower semicontinuity) is not
+    enforced.
     """
 
     def __init__(self, space: Space, values: dict):
@@ -150,14 +144,6 @@ class LscFunction:
 
     def leq(self, other: "LscFunction") -> bool:
         return all(self.values[p] <= other.values[p] for p in self.space.points)
-
-    def monotone_violations(self) -> list:
-        out = []
-        for x in self.space.points:
-            for y in self.space.points:
-                if self.space.specialization_leq(x, y) and not self.values[x] <= self.values[y]:
-                    out.append((x, y))
-        return out
 
     @classmethod
     def scaled_indicator(cls, space: Space, u: OpenSet, r) -> "LscFunction":
@@ -198,22 +184,12 @@ class LipschitzReport:
     def lift_monotone(self) -> bool:
         return not self.lift_violations
 
-    @property
-    def verdicts_agree(self) -> bool:
-        """The slope verdict and the lift verdict are the same.
-
-        A slope pass implies a lift pass, but not conversely: the lift is
-        tested only at the radius differences r - s of its grid, so it can
-        miss a slope violation at a distance that is not such a difference.
-        """
-        return self.passed == self.lift_monotone
-
 
 def _value_gaps(space: Space, f: Union[LscFunction, dict], codomain: Optional[Space]) -> tuple:
     """(E, gaps): gaps[i][j] is the value gap from the i-th to the j-th
-    point times E, as an int, None for inf.  For an ``LscFunction`` it is
-    ``extended_value_dist`` of the values; for a mapping into a codomain
-    space, the codomain's distance between the images."""
+    point times E, as an int, None for inf: how far the first value of an
+    ``LscFunction`` sits above the second, or the codomain's distance between
+    the images of a mapping."""
     if isinstance(f, LscFunction):
         den, v = int_scale([f(x) for x in space.points])
         # how far a sits above b: 0 when b is inf, inf when only a is

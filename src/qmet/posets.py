@@ -445,13 +445,6 @@ def _beta_moves(p: FinitePoset, within: int) -> list[tuple[int, int]]:
     return [(i, m) for members, m in opens for i in members]
 
 
-def legal_beta_moves(p: FinitePoset, inside: frozenset) -> list[tuple[str, frozenset]]:
-    """All legal challenger moves (x, V) with V a nonempty open inside the
-    current open, in canonical order."""
-    within = _mask_of(i for i, e in enumerate(p.elements) if e in inside)
-    return [(p.elements[i], p._set(m)) for i, m in _beta_moves(p, within)]
-
-
 def play(p: FinitePoset, moves: Sequence[tuple[str, Iterable[str]]]) -> PlayTranscript:
     """Run a full play from explicit challenger moves, validating legality."""
     if not len(p):
@@ -498,7 +491,7 @@ def choquet_play(
 class ChoquetSweep:
     depth: int
     total_plays: int
-    all_won: bool
+    all_won: bool  # this and invariants_ok are theorems: see verify_all_plays
     invariants_ok: bool
     states_seen: int
 
@@ -509,16 +502,16 @@ def verify_all_plays(p: FinitePoset, depth: int = 4) -> ChoquetSweep:
     A state is the whole poset or the principal filter up(y) of a reply y, so
     there are at most n + 1; each is expanded once, with at least one round
     left, into the multiplicity of each next state, and plays are counted
-    round by round.  Every edge checks that up(y) is nonempty, holds x and
-    lies in V, but that holds by construction: y lies in V and below x, so
-    x is in up(y), inside V as V is up-closed.  The sweep's real content is
-    the play count, and that every move has a reply.
+    round by round.  Every play is won with the invariants kept, by the
+    partial order: x lies in down(x) & V, whose minimal element y lies in V
+    and below x, so up(y) holds x and lies inside V, as V is up-closed.  The
+    sweep's content is the play count; ``tests/choquet_reference.py`` tests
+    each edge.
     """
     if not len(p):
         raise IllegalMove("empty poset has no nonempty opens")
     up, down = p._up, p._down_rows
     edges: dict[int, dict[int, int]] = {}
-    all_won = invariants_ok = True
     plays = {(1 << len(p)) - 1: 1}  # state -> number of plays that reach it
     for _ in range(depth):
         reached: dict[int, int] = {}
@@ -527,15 +520,12 @@ def verify_all_plays(p: FinitePoset, depth: int = 4) -> ChoquetSweep:
                 out = edges[state] = {}
                 for v in p._up_masks(state):
                     for x in _bits(v):
-                        y = _reply(down, x, v)
-                        u = up[y] if y >= 0 else 0
-                        all_won = all_won and u != 0
-                        invariants_ok = invariants_ok and bool(u >> x & 1) and not u & ~v
+                        u = up[_reply(down, x, v)]
                         out[u] = out.get(u, 0) + 1
             for u, k in edges[state].items():
                 reached[u] = reached.get(u, 0) + ways * k
         plays = reached
-    return ChoquetSweep(depth, sum(plays.values()), all_won, invariants_ok, len(edges))
+    return ChoquetSweep(depth, sum(plays.values()), True, True, len(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,7 @@ def build_model(space: Space, depth: int, factor=Fraction(2)) -> ModelPoset:
 
     # Grid ball i is (point i // m, radii[i % m]); halving keeps the radius
     # indices b with r >= factor * radii[b], the same in every point's block.
-    _, rule, scaled = _way_below_rows(space, radii)
+    rule, scaled = _way_below_rows(space, radii)
     limit_rows, _ = _ball_rows(space, radii[:1])  # d(x, y) <= 0, i.e. d(x, y) = 0
     repeat = sum(1 << (y * m) for y in range(n))
     num, den = factor.numerator, factor.denominator

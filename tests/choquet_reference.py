@@ -4,14 +4,15 @@ up-closed sub-masks by filtering every sub-mask, the reply by element names,
 and the play count by a memoised recursion keyed by frozensets.  Beside it,
 ``count_plays_literally`` counts transcripts one by one over the subset
 enumeration of ``subset_enumeration.py``, a route that shares nothing with
-the library's sweep.  ``tests/test_choquet_reference.py`` compares them."""
+the library's sweep.  ``legal_beta_moves`` names the library's own bitmask
+moves.  ``tests/test_choquet_reference.py`` compares them."""
 
 import random
 
 from subset_enumeration import legal_beta_moves_by_enumeration
 
 from qmet.errors import IllegalMove
-from qmet.posets import ChoquetSweep, FinitePoset, PlayRound
+from qmet.posets import ChoquetSweep, FinitePoset, PlayRound, _beta_moves, _mask_of
 
 
 def _bits(mask: int):
@@ -50,6 +51,12 @@ def legal_beta_moves_by_filter(p: FinitePoset, inside: frozenset) -> list:
         v = frozenset(p.elements[i] for i in members)
         moves.extend((p.elements[i], v) for i in members)
     return moves
+
+
+def legal_beta_moves(p: FinitePoset, inside: frozenset) -> list:
+    """The library's challenger moves ``_beta_moves`` inside the open, by name."""
+    within = _mask_of(i for i, e in enumerate(p.elements) if e in inside)
+    return [(p.elements[i], p._set(m)) for i, m in _beta_moves(p, within)]
 
 
 def alpha_reply_by_names(p: FinitePoset, x: str, v: frozenset) -> str:

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from qmet.posets import FinitePoset
+from qmet.posets import FinitePoset, random_poset
 from qmet.spaces import (
+    INF_POINT,
     FiniteTableSpace,
     PosetSpace,
     RealGridSpace,
@@ -100,3 +102,19 @@ def is_symmetric(space):
     """d(x, y) = d(y, x) on every pair, read off the space's int rows."""
     rows = space._ints[1]
     return all(rows[i][j] == rows[j][i] for i in range(len(rows)) for j in range(i))
+
+
+def every_kind(seed):
+    """Seeded small spaces of every kind: (space, whether it names a rule)."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 4)
+    values = rng.sample([Fraction(k, 4) for k in range(-8, 13)], n)
+    unit = sorted(rng.sample([Fraction(k, 8) for k in range(1, 9)], n - 1))
+    yield random_table_space(n, seed, symmetric=False), True
+    yield random_table_space(n, seed, symmetric=True), True
+    yield RealGridSpace(values), True
+    yield RealGridSpace(values + [INF_POINT]), True
+    yield SorgenfreyGridSpace(values), True
+    yield PosetSpace(random_poset(n, seed)), True
+    yield SkewedIntervalSpace(rng.choice([1, 2]), [Fraction(0)] + unit), False
+    yield TailedSorgenfreySpace(1, 1, rng.choice([0, 1, 2]), sorted({*unit, Fraction(1)})), False

@@ -2,17 +2,26 @@
 lookup and ExtReal compare per point pair (and per lift radius pair), as the
 library computed them before its loops moved onto the space's integer view.
 ``tests/test_lipschitz_int_view.py`` compares the two routes report by
-report."""
+report.  ``monotone_violations`` lists where a function breaks the
+monotonicity that lower semicontinuity implies."""
 
 from qmet.balls import FormalBall
 from qmet.errors import QmetError
-from qmet.extreal import INF, as_fraction
-from qmet.lipschitz import (
-    LIFT_RADII,
-    LipschitzReport,
-    LscFunction,
-    extended_value_dist,
-)
+from qmet.extreal import INF, ZERO, as_fraction, monus
+from qmet.lipschitz import LIFT_RADII, LipschitzReport, LscFunction
+
+
+def extended_value_dist(u, v):
+    """One-way distance between extended non-negative values: how far u sits
+    above v: ``monus``, with inf above inf at 0."""
+    return ZERO if u <= v else monus(u, v)
+
+
+def monotone_violations(f):
+    """The pairs x below y in the specialization order with f(x) > f(y)."""
+    pts = f.space.points
+    leq = f.space.specialization_leq
+    return [(x, y) for x in pts for y in pts if leq(x, y) and not f(x) <= f(y)]
 
 
 def hat_membership_by_extreal(space, b, u):

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 
 from qmet.balls import (
+    UNKNOWN,
     GeometricBallFamily,
     _way_below_rule,
     ball,
@@ -35,7 +36,6 @@ from qmet.posets import (
     random_poset,
     rounded_ideal_completion,
     verify_all_plays,
-    legal_beta_moves,
     alpha_reply,
     play,
 )
@@ -51,6 +51,7 @@ from qmet.spaces import (
     parse_point_value,
 )
 
+from choquet_reference import legal_beta_moves
 from subset_enumeration import rounded_ideal_completion_by_enumeration
 from threshold_enumeration import scott_open_thresholds_bruteforce
 
@@ -193,7 +194,7 @@ def test_criterion_5_nonstandard_way_below():
     assert refuted.witness.replay(space)
 
     undecided = way_below(space, ball("-2", 2), ball("-1", 0), depth=8)
-    assert undecided.is_unknown
+    assert undecided.status == UNKNOWN
     ok("PASS criterion 5: (-2,3) below (-1,1) refuted by the geometric family; (-2,2) vs (-1,0) stays unknown")
 
 

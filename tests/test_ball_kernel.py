@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmet.balls import (
     _ball_rows,
@@ -25,12 +27,11 @@ from qmet.spaces import (
     FiniteTableSpace,
     RealGridSpace,
     SkewedIntervalSpace,
-    SorgenfreyGridSpace,
     check_axioms,
     parse_point_value,
 )
 
-from conftest import dyadics, random_table_space
+from conftest import dyadics, every_kind, random_table_space
 from table_reference import axioms_by_extreal
 
 FIXTURES = [
@@ -143,7 +144,7 @@ def test_shifted_rows_are_the_base_rows(seed):
 def test_order_laws_report_only_validates_its_shifts(metric_line4):
     radii = [Fraction(1, 4), Fraction(0), Fraction(1)]
     report = order_laws_report(metric_line4, radii)
-    assert report.standard_ok and report.passed
+    assert report.passed
     assert order_laws_report(metric_line4, radii, ["1/2", Fraction(3)]) == report
     # the first radius taken below zero is named, for the first bad shift
     with pytest.raises(QmetError, match="got -1/4"):
@@ -154,6 +155,44 @@ def test_order_laws_report_only_validates_its_shifts(metric_line4):
     with pytest.raises(BadInput, match="exact rational required"):
         order_laws_report(metric_line4, [], [0.5])
     assert order_laws_report(metric_line4, [], [Fraction(-3)]).ball_count == 0
+
+
+ORDER_RADII = dyadics(3) + [Fraction(3)]
+
+
+def test_the_axioms_make_the_ball_order_a_partial_order():
+    """Reflexive as d(x, x) = 0; transitive by the triangle inequality,
+    d(x, z) <= (r - s) + (s - t); antisymmetric as both directions force
+    r = s and d(x, y) = d(y, x) = 0, so x = y."""
+    kinds = set()
+    for seed in range(40):
+        for space, _ in every_kind(seed):
+            if check_axioms(space).passed:
+                kinds.add(space.kind)
+                assert order_laws_report(space, ORDER_RADII).passed, space
+    assert len(kinds) == 6
+
+
+def test_the_order_laws_fail_only_where_the_axioms_fail():
+    """The contrapositive on raw tables; the grid need not see every
+    broken axiom, so the converse does not hold."""
+    broken = 0
+    for seed in range(300):
+        space = raw_table(1 + seed % 4, seed)
+        if not order_laws_report(space, ORDER_RADII).passed:
+            broken += 1
+            assert not check_axioms(space).passed, space
+    assert broken
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), n=st.integers(1, 5))
+def test_a_named_rule_means_zero_self_distance(seed, n):
+    """A rule is named only where the axioms hold, so d(x, x) = 0 there:
+    the fact the Smyth probe and the center check read."""
+    for space in [space for space, _ in every_kind(seed)] + [raw_table(n, seed)]:
+        if space.way_below_rule is not None:
+            assert all(space.dist(x, x) == ZERO for x in space.points), space
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -196,12 +235,21 @@ def smyth_gaps_by_pairs(space, depth, sample_budget, seed):
     ))
 
 
-@pytest.mark.parametrize("name", ["real_grid_inf", "sorgenfrey4", "metric_line4", "diamond_space"])
+SEEDED = [f"seeded{seed}" for seed in range(6)]
+
+
+@pytest.mark.parametrize(
+    "name", ["real_grid_inf", "sorgenfrey4", "metric_line4", "diamond_space"] + SEEDED
+)
 def test_smyth_gaps_match_pairwise_route(request, name):
-    space = request.getfixturevalue(name)
-    for depth, budget, seed in ((2, 40_000, 0), (2, 50, 1), (1, 300, 7)):
-        report = smyth_probe(space, depth=depth, sample_budget=budget, seed=seed)
-        assert report.gap_pairs == smyth_gaps_by_pairs(space, depth, budget, seed)
+    if name in SEEDED:
+        spaces = seeded_ruled_spaces(SEEDED.index(name))
+    else:
+        spaces = [request.getfixturevalue(name)]
+    for space in spaces:
+        for depth, budget, seed in ((2, 40_000, 0), (2, 50, 1), (1, 300, 7), (3, 10, 2)):
+            report = smyth_probe(space, depth=depth, sample_budget=budget, seed=seed)
+            assert report.gap_pairs == smyth_gaps_by_pairs(space, depth, budget, seed)
 
 
 def test_sampled_smyth_lists_each_gap_once():
@@ -218,7 +266,8 @@ def test_sampled_smyth_lists_each_gap_once():
 
 class RuledTable(FiniteTableSpace):
     """A table that claims the metric rule and names non-center points,
-    whatever its entries: the one place d(x, x) can be inf at one."""
+    whatever its other entries; d(x, x) = 0 at each of them, as on every
+    space that names a rule."""
 
     way_below_rule = "metric_strict_approximation"
 
@@ -228,20 +277,16 @@ class RuledTable(FiniteTableSpace):
 
 
 def seeded_ruled_spaces(seed):
-    rng = random.Random(seed)
-    values = sorted({Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(5)})
+    """The seeded spaces of every kind that name a rule, and a raw
+    ``RuledTable``."""
     table = raw_table(5, seed)
-    return [
-        RealGridSpace(values + [parse_point_value("inf")]),
-        RealGridSpace(values),
-        SorgenfreyGridSpace(values),
-        random_table_space(4, seed, symmetric=True),
-        RuledTable(
-            table.points,
-            [[table.dist_by_index(i, j) for j in range(5)] for i in range(5)],
-            rng.sample(table.points, 3),
-        ),
+    non_centers = random.Random(seed).sample(range(5), 3)
+    rows = [
+        [ZERO if i == j and i in non_centers else table.dist_by_index(i, j) for j in range(5)]
+        for i in range(5)
     ]
+    ruled = RuledTable(table.points, rows, [table.points[i] for i in non_centers])
+    return [space for space, named in every_kind(seed) if named] + [ruled]
 
 
 def center_point_by_v(space, x):
@@ -253,7 +298,7 @@ def center_point_by_v(space, x):
 def test_smyth_non_centers_match_center_point_check(request):
     spaces = [request.getfixturevalue(name) for name in FIXTURES]
     spaces += [space for seed in range(12) for space in seeded_ruled_spaces(seed)]
-    listed = inf_self = 0
+    listed = 0
     for space in spaces:
         if space.way_below_rule is None:
             continue
@@ -261,10 +306,7 @@ def test_smyth_non_centers_match_center_point_check(request):
         assert [x for x in space.points if not center_point_check(space, x)] == want
         assert smyth_probe(space, depth=1).non_center_points == want
         listed += len(want)
-        inf_self += sum(
-            space.dist(x, x).is_infinite for x in space.non_center_points
-        )
-    assert listed and inf_self
+    assert listed
 
 
 def radius_law_by_families(space, radii, sample_budget, seed):

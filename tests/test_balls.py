@@ -5,6 +5,7 @@ import pytest
 from qmet.balls import (
     FiniteBallFamily,
     GeometricBallFamily,
+    UNKNOWN,
     StandardnessWitness,
     WayBelowWitness,
     _way_below_rule,
@@ -132,7 +133,7 @@ def test_way_below_tailed_refuter_finds_spec_family(tailed_standard):
 
 def test_way_below_tailed_unknown_at_depth(tailed_standard):
     v = way_below(tailed_standard, ball("-2", 2), ball("-1", 0), depth=8)
-    assert v.is_unknown
+    assert v.status == UNKNOWN
 
 
 def test_way_below_metric_table_is_strict_approximation(metric_line4):
@@ -242,7 +243,7 @@ def test_refuter_never_contradicts_oracle(fixture, request):
             if v.is_holds:
                 assert _refute_way_below(space, b1, b2, depth=4) is None
             # and on oracle-backed spaces every oracle no gets a witness
-            assert not v.is_unknown, f"{b1} << {b2} left undecided"
+            assert v.status != UNKNOWN, f"{b1} << {b2} left undecided"
 
 
 # ---------------------------------------------------------------------------

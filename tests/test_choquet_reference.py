@@ -6,6 +6,7 @@ import pytest
 from choquet_reference import (
     alpha_reply_by_names,
     count_plays_literally,
+    legal_beta_moves,
     legal_beta_moves_by_filter,
     seeded_rounds_by_names,
     up_closed_subsets_by_filter,
@@ -18,7 +19,6 @@ from qmet.posets import (
     FinitePoset,
     alpha_reply,
     choquet_play,
-    legal_beta_moves,
     play,
     random_poset,
     verify_all_plays,

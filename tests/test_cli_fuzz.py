@@ -353,6 +353,9 @@ SHAPE_CASES = {
     "witness_n0_negative": (*APPROACH_N0, -1),
     "witness_n0_null": (*APPROACH_N0, None),
     "witness_n0_array": (*APPROACH_N0, [1]),
+    "point_name_null": (["axioms", "@line"], "line", ("points", 0), None),
+    "poset_element_true": (["idl", "@diamond"], "diamond", ("elements", 0), True),
+    "basis_element_false": (["rideal", "@basis"], "basis", ("elements", 0), False),
     "function_zero_denominator": (["envelope", "@line", "@func", "--alpha", "1"], "func", ("values", "1"), "1/0"),
 }
 
@@ -389,3 +392,25 @@ def test_number_names_are_still_names():
     ideals by them too."""
     code, _ = _assert_exit_contract(["rideal", "@basis"], "basis", ("elements", 0), 1.5)
     assert code == 0
+
+
+def test_a_number_names_the_point_its_str_names():
+    """A table on the points 0-3 given as JSON numbers answers the claim at
+    "0" and "1" as the same table given with strings does."""
+    run = ["wb", "@line", "(0, 2)", "(1, 1/2)", "--depth", "3"]
+    _, code, out, err = _run_swapped(run, "line", ("points",), [0, 1, 2, 3])
+    assert (code, out, err) == _run_swapped(run, None, (), None)[1:]
+    assert code == 0
+
+
+@pytest.mark.parametrize("run, where, names, message", [
+    (["axioms", "@line"], "line", [0, "0", 2, 3], "duplicate point names"),
+    (["idl", "@diamond"], "diamond", ["bot", 1, "1", "top"], "duplicate element names"),
+    (["export", "@diamond"], "diamond", ["bot", 1, "1", "top"], "duplicate element names"),
+    (["rideal", "@basis"], "basis", ["a", 1, "1"], "duplicate element names"),
+], ids=["table", "poset_idl", "poset_export", "basis"])
+def test_a_number_and_its_str_are_one_name(run, where, names, message):
+    """The document names one point twice, and is refused as it is read."""
+    key = "points" if where == "line" else "elements"
+    code, err = _assert_exit_contract(run, where, (key,), names)
+    assert (code, err) == (2, f"error: {message}\n")

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qmet.errors import IndeterminateForm
@@ -99,3 +99,18 @@ def test_repr_and_str():
     assert str(ExtReal(Fraction(9, 10))) == "9/10"
     assert str(ExtReal(5)) == "5"
     assert str(INF) == "inf"
+
+
+@given(rationals)
+@example(Fraction(0))
+@example(Fraction(1))
+def test_equal_values_hash_equal(q):
+    """An ExtReal equal to an int or a Fraction hashes as it does, so that
+    sets and dict keys treat them as one value."""
+    v = ExtReal(q)
+    assert v == q and hash(v) == hash(q)
+    assert len({v, q}) == 1 and q in {v}
+    if q.denominator == 1:
+        assert v == int(q) and hash(v) == hash(int(q)) and int(q) in {v}
+    assert hash(ExtReal(str(q))) == hash(v)
+    assert hash(ext("inf")) == hash(INF) and len({INF, ext("inf"), v}) == 2

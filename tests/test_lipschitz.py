@@ -12,7 +12,6 @@ from qmet.lipschitz import (
     dist_to_complement,
     envelope,
     envelope_closed_form,
-    extended_value_dist,
     hat_membership,
     lipschitz_check,
     lipschitz_threshold,
@@ -22,6 +21,7 @@ from qmet.posets import FinitePoset
 from qmet.spaces import FiniteTableSpace, PosetSpace
 
 from conftest import dyadics
+from lipschitz_reference import extended_value_dist, monotone_violations
 from threshold_enumeration import scott_open_thresholds_bruteforce
 
 
@@ -137,7 +137,7 @@ def test_hat_matches_bruteforce_largest_scott_open(fixture, request):
 def test_identity_is_one_lipschitz(metric_line4):
     f = {p: p for p in metric_line4.points}
     report = lipschitz_check(metric_line4, f, 1, codomain=metric_line4)
-    assert report.passed and report.verdicts_agree
+    assert report.passed and report.lift_monotone
 
 
 def test_dist_to_complement_is_one_lipschitz(metric_line4, sorgenfrey4):
@@ -147,7 +147,7 @@ def test_dist_to_complement_is_one_lipschitz(metric_line4, sorgenfrey4):
                 space, {p: dist_to_complement(space, p, u) for p in space.points}
             )
             report = lipschitz_check(space, f, 1)
-            assert report.passed and report.verdicts_agree
+            assert report.passed and report.lift_monotone
 
 
 def test_doubling_fails_one_lipschitz():
@@ -158,7 +158,6 @@ def test_doubling_fails_one_lipschitz():
     assert not report.passed
     assert report.violations[0][:2] == ("1", "0") or report.violations[0][:2] == ("0", "1")
     assert not report.lift_monotone
-    assert report.verdicts_agree
     assert lipschitz_check(x, f, 2, codomain=y).passed
 
 
@@ -170,7 +169,6 @@ def test_lift_misses_a_slope_violation_between_grid_differences():
     report = lipschitz_check(space, f, 1)
     assert not report.passed
     assert report.lift_monotone
-    assert not report.verdicts_agree
 
 
 def test_poset_lipschitz_maps_are_monotone(diamond_space):
@@ -318,12 +316,12 @@ def test_threshold_requires_finite_values(metric_line4):
 
 def test_lsc_function_monotone_report(sorgenfrey4, real_grid_inf):
     f = LscFunction(real_grid_inf, {"0": "3", "1/2": "1", "1": "2", "inf": "2"})
-    assert ("0", "1/2") in f.monotone_violations()
+    assert ("0", "1/2") in monotone_violations(f)
     g = LscFunction(real_grid_inf, {"0": "0", "1/2": "1", "1": "2", "inf": "2"})
-    assert g.monotone_violations() == []
+    assert monotone_violations(g) == []
     # discrete specialization order never constrains
     h = LscFunction(sorgenfrey4, {"0": "9", "1": "0", "2": "inf", "3": "1/2"})
-    assert h.monotone_violations() == []
+    assert monotone_violations(h) == []
 
 
 def test_extended_value_dist():

@@ -16,7 +16,6 @@ from qmet.posets import (
     choquet_play,
     export_dot,
     ideal_completion,
-    legal_beta_moves,
     play,
     quasi_ideal_check,
     random_abstract_basis,
@@ -26,6 +25,7 @@ from qmet.posets import (
     verify_all_plays,
 )
 
+from choquet_reference import legal_beta_moves
 from subset_enumeration import (
     ideal_completion_by_enumeration,
     legal_beta_moves_by_enumeration,

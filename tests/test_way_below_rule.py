@@ -17,7 +17,9 @@ import pytest
 from witness_reference import way_below_reference
 
 from qmet.balls import (
+    UNKNOWN,
     WayBelowWitness,
+    _refute_way_below,
     _way_below_rule,
     ball,
     center_point_check,
@@ -35,13 +37,11 @@ from qmet.spaces import (
     FiniteTableSpace,
     PosetSpace,
     RealGridSpace,
-    SkewedIntervalSpace,
     SorgenfreyGridSpace,
-    TailedSorgenfreySpace,
     check_axioms,
 )
 
-from conftest import dyadics, is_symmetric, random_table_space
+from conftest import dyadics, every_kind, is_symmetric, random_table_space
 
 
 def _closed_form(space, b1, b2):
@@ -163,32 +163,39 @@ def _claims(space):
     return product(balls, balls)
 
 
-def _every_kind(seed):
-    """Seeded small spaces of every kind: (space, whether it names a rule)."""
-    rng = random.Random(seed)
-    n = rng.randint(2, 4)
-    values = rng.sample([Fraction(k, 4) for k in range(-8, 13)], n)
-    unit = sorted(rng.sample([Fraction(k, 8) for k in range(1, 9)], n - 1))
-    yield random_table_space(n, seed, symmetric=False), True
-    yield random_table_space(n, seed, symmetric=True), True
-    yield RealGridSpace(values), True
-    yield RealGridSpace(values + [INF_POINT]), True
-    yield SorgenfreyGridSpace(values), True
-    yield PosetSpace(random_poset(n, seed)), True
-    yield SkewedIntervalSpace(rng.choice([1, 2]), [Fraction(0)] + unit), False
-    yield TailedSorgenfreySpace(1, 1, rng.choice([0, 1, 2]), sorted({*unit, Fraction(1)})), False
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_a_named_rule_decides_every_claim_as_the_refuter_first_route(seed):
     """Where a rule is named, no claim is unknown; on every kind the verdict,
     witness included, is the one the refuter-first route gives."""
-    for space, ruled in _every_kind(seed):
+    for space, ruled in every_kind(seed):
         assert (space.way_below_rule is not None) == ruled
         for b1, b2 in _claims(space):
             v = way_below(space, b1, b2, depth=2)
-            assert not (ruled and v.is_unknown), (space, b1, b2)
+            assert not (ruled and v.status == UNKNOWN), (space, b1, b2)
             assert v.to_json() == way_below_reference(space, b1, b2, depth=2).to_json()
+
+
+DIAGONAL_RADII = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_refuter_backs_the_declared_non_center_points(seed):
+    """The refuter, not the rule, decides every diagonal claim (x, r) <<
+    (x, s) with r > s: a witness that replays exists exactly at the
+    declared non-center points, and at no other point."""
+    declared = 0
+    for space, ruled in every_kind(seed):
+        if not ruled:
+            continue
+        for x in space.points:
+            non_center = x in space.non_center_points
+            declared += non_center
+            for r, s in product(DIAGONAL_RADII, DIAGONAL_RADII):
+                if r > s:
+                    w = _refute_way_below(space, ball(x, r), ball(x, s), depth=32)
+                    assert (w is not None) == non_center, (space, x, r, s)
+                    assert w is None or w.replay(space), (space, x, r, s)
+    assert declared
 
 
 AXIOM_BREAKING = {

@@ -16,7 +16,7 @@ import pytest
 from conftest import random_table_space
 from witness_reference import _witness_valid, way_below_reference
 
-from qmet.balls import _FAMILIES, WayBelowWitness, ball, parse_ball, way_below
+from qmet.balls import _FAMILIES, UNKNOWN, WayBelowWitness, ball, parse_ball, way_below
 from qmet.cli import main
 from qmet.errors import QmetError
 from qmet.posets import FinitePoset
@@ -221,7 +221,7 @@ def test_replay_rejects_an_approach_through_points_off_the_space(capsys, tmp_pat
     assert main(["replay", str(path)]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["verdict"] == "not_refuted"
     claim = [parse_ball(b) for b in BUG_WITNESS["claim"]]
-    assert way_below(space, *claim).is_unknown
+    assert way_below(space, *claim).status == UNKNOWN
 
 
 def test_radius_shrink_needs_a_center_at_distance_zero_from_itself(capsys, tmp_path):
@@ -232,7 +232,7 @@ def test_radius_shrink_needs_a_center_at_distance_zero_from_itself(capsys, tmp_p
     space = FiniteTableSpace(["a", "b"], [[1, 5], [5, 0]])
     b1, b2 = ball("b", 0), ball("a", 1)
     assert _FAMILIES["radius_shrink"].start(space, "a") is None
-    assert way_below(space, b1, b2, depth=2).is_unknown
+    assert way_below(space, b1, b2, depth=2).status == UNKNOWN
     members = [("a", Fraction(1)), ("a", Fraction(1, 2)), ("a", Fraction(1, 4))]
     w = WayBelowWitness("radius_shrink", "a", Fraction(0), 0, members, b1, b2)
     assert not w.replay(space)
